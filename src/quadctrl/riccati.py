@@ -15,11 +15,21 @@ warm-started from a stabilizing gain obtained by eigenvalue shifting
 so every iterate is stabilizing and S decreases monotonically to the
 stabilizing solution.
 
-Lyapunov equations are solved with the Bartels-Stewart method: reduce
-the coefficient matrix to real Schur form and back-substitute over the
-1x1/2x2 diagonal blocks.  An eigenvector-based solver on the associated
+The problem is first split into blocks: states and inputs are joined
+by every nonzero of A, Q, B and R, and each connected component is a
+CARE of its own.  The hover plant falls into four (z/zdot with thrust,
+psi/r with yaw torque, and the x/theta and y/phi lateral chains with
+pitch and roll torque).  Each block is iterated to its share of the
+tolerance and S is assembled with exact zeros between blocks; the
+assembled residual is checked against the full-system tolerance.
+
+Lyapunov equations are solved as one n^2 x n^2 linear system, the
+Kronecker sum I kron F' + F' kron I, by a single LU factorization that
+also serves the iterative-refinement sweeps.  That costs O(n^6) time
+and O(n^4) memory: microseconds for the hover blocks (n <= 4) and fine
+up to n of about 20.  An eigenvector-based solver on the associated
 2n x 2n Hamiltonian matrix is available as an independent cross-check
-(``method="hamiltonian"``).
+(``method="hamiltonian"``); it always solves the whole system.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import trapezoid
-from scipy.linalg import schur
+from scipy.linalg import lu_factor, lu_solve
 
 from .linearize import is_controllable
 
@@ -102,47 +112,14 @@ class GainMatrix:
     K: np.ndarray
 
 
-def _solve_schur_reduced(T: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Solve T' Y + Y T = D for quasi-upper-triangular T.
-
-    Block-forward substitution over the 1x1/2x2 diagonal blocks of the
-    real Schur form; each block is a Sylvester system of size at most
-    2x2, handled through its Kronecker form.
-    """
-    n = T.shape[0]
-    # Diagonal block boundaries: a 2x2 block has a nonzero subdiagonal.
-    blocks: list[tuple[int, int]] = []
-    k = 0
-    while k < n:
-        size = 2 if (k + 1 < n and T[k + 1, k] != 0.0) else 1
-        blocks.append((k, size))
-        k += size
-
-    Y = np.zeros((n, n))
-    eyes = {1: np.eye(1), 2: np.eye(2)}
-    for (j0, jn) in blocks:
-        for (i0, im) in blocks:
-            rhs = D[i0:i0 + im, j0:j0 + jn].copy()
-            if i0 > 0:
-                rhs -= T[:i0, i0:i0 + im].T @ Y[:i0, j0:j0 + jn]
-            if j0 > 0:
-                rhs -= Y[i0:i0 + im, :j0] @ T[:j0, j0:j0 + jn]
-            Tii = T[i0:i0 + im, i0:i0 + im]
-            Tjj = T[j0:j0 + jn, j0:j0 + jn]
-            # vec(Tii' Yij + Yij Tjj) with column-major stacking
-            coeff = np.kron(eyes[jn], Tii.T) + np.kron(Tjj.T, eyes[im])
-            sol = np.linalg.solve(coeff, rhs.flatten(order="F"))
-            Y[i0:i0 + im, j0:j0 + jn] = sol.reshape((im, jn), order="F")
-    return Y
-
-
 def solve_lyapunov(F: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Solve F' X + X F + C = 0 for symmetric C and stable F.
 
-    Bartels-Stewart: with F = Z T Z' in real Schur form the equation
-    becomes T' Y + Y T = -Z' C Z, solved by block-forward substitution.
-    A few iterative-refinement sweeps (reusing the Schur form) push the
-    defect down to roundoff even for ill-conditioned spectra.
+    With column-major stacking, vec(F' X + X F) = (I kron F' + F' kron I)
+    vec(X), so the equation is one n^2 x n^2 linear system.  Its LU
+    factor is computed once and reused by a few iterative-refinement
+    sweeps that push the defect down to roundoff even for
+    ill-conditioned spectra.
     """
     F = np.asarray(F, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -150,10 +127,21 @@ def solve_lyapunov(F: np.ndarray, C: np.ndarray) -> np.ndarray:
     if F.shape != (n, n) or C.shape != (n, n):
         raise ValueError(f"F and C must be square of equal size, got {F.shape}, {C.shape}")
 
-    T, Z = schur(F, output="real")
-    X = Z @ _solve_schur_reduced(T, -(Z.T @ C @ Z)) @ Z.T
-    X = 0.5 * (X + X.T)
+    # I kron F' + F' kron I, indexed [j, i, l, k] for the coefficient of
+    # X[k, l] in entry (i, j): F'[i, k] when j == l plus F'[j, l] when
+    # i == k.  Filled by index, it costs a fraction of two np.kron calls.
+    index = np.arange(n)
+    kron_sum = np.zeros((n, n, n, n))
+    kron_sum[index, :, index, :] = F.T
+    kron_sum[:, index, :, index] += F.T
+    factor = lu_factor(kron_sum.reshape(n * n, n * n))
 
+    def solve(D: np.ndarray) -> np.ndarray:
+        """Y with F' Y + Y F = -D, symmetrized."""
+        Y = lu_solve(factor, -D.ravel(order="F")).reshape((n, n), order="F")
+        return 0.5 * (Y + Y.T)
+
+    X = solve(C)
     scale = max(1.0, float(np.linalg.norm(C, ord="fro")))
     defect_norm = np.inf
     for _ in range(3):
@@ -162,8 +150,7 @@ def solve_lyapunov(F: np.ndarray, C: np.ndarray) -> np.ndarray:
         if norm >= defect_norm or norm < 1e-15 * scale:
             break
         defect_norm = norm
-        correction = Z @ _solve_schur_reduced(T, -(Z.T @ defect @ Z)) @ Z.T
-        X = X + 0.5 * (correction + correction.T)
+        X = X + solve(defect)
     return X
 
 
@@ -215,6 +202,64 @@ def _solve_care_hamiltonian(A, B, weights: LqrWeights) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
+def _decoupled_blocks(A, B, weights: LqrWeights) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(state indices, input indices) of each decoupled subproblem.
+
+    States and inputs are the nodes of a graph with an edge for every
+    nonzero of A, Q, B and R; each connected component is a CARE of its
+    own, and the solution has exact zeros between components.  Inputs
+    that touch no state drop out (their gain rows are zero).  When the
+    graph is connected, or a component has states but no input to
+    stabilize it, the whole system is one block.
+    """
+    n, m = B.shape
+    linked = np.eye(n + m, dtype=bool)
+    linked[:n, :n] |= (A != 0.0) | (weights.Q != 0.0)
+    linked[:n, n:] = B != 0.0
+    linked[n:, n:] |= weights.R != 0.0
+    linked |= linked.T
+    # transitive closure by repeated squaring
+    while True:
+        grown = (linked.astype(int) @ linked.astype(int)) > 0
+        if np.array_equal(grown, linked):
+            break
+        linked = grown
+    blocks, seen = [], np.zeros(n, dtype=bool)
+    for node in range(n):
+        if seen[node]:
+            continue
+        members = np.flatnonzero(linked[node])
+        states, inputs = members[members < n], members[members >= n] - n
+        if inputs.size == 0:
+            return [(np.arange(n), np.arange(m))]
+        seen[states] = True
+        blocks.append((states, inputs))
+    return blocks
+
+
+def _newton(A, B, weights: LqrWeights, tol: float, max_iter: int) -> tuple[np.ndarray, int]:
+    """Kleinman's Newton iteration from a stabilizing gain: (S, iterations).
+
+    The residual of a Kleinman iterate is -dK' R dK for the gain update
+    dK just taken, so it measures that step, not the error left.  Once it
+    meets ``tol`` the iteration is in its quadratic phase, and one more
+    step takes S to roundoff.
+    """
+    gain_map = np.linalg.solve(weights.R, B.T)     # K = gain_map @ S
+    K = stabilizing_gain(A, B)
+    for iteration in range(1, max_iter + 1):
+        S = solve_lyapunov(A - B @ K, weights.Q + K.T @ (weights.R @ K))
+        K = gain_map @ S
+        residual = care_residual(A, B, S, weights)
+        if residual <= tol:
+            S = solve_lyapunov(A - B @ K, weights.Q + K.T @ (weights.R @ K))
+            return S, iteration + 1
+    raise NoConvergence(
+        f"Riccati residual {residual:.3e} above tolerance {tol:.3e} "
+        f"after {max_iter} Newton iterations"
+    )
+
+
 def solve_care(
     A: np.ndarray,
     B: np.ndarray,
@@ -228,7 +273,8 @@ def solve_care(
     ``tol`` bounds the Frobenius norm of the Riccati residual and
     defaults to 1e-9 times the Frobenius norm of Q.  ``method`` selects
     the Newton iteration (default) or the Hamiltonian eigenvector
-    cross-check path.
+    cross-check path.  The Newton path solves each decoupled block on
+    its own, and ``iterations`` counts its Newton steps over all blocks.
 
     Raises :class:`NotStabilizable` when the controllability rank check
     fails and :class:`NoConvergence` when max_iter Newton steps do not
@@ -274,19 +320,26 @@ def solve_care(
     if method != "newton":
         raise ValueError(f"unknown method {method!r}")
 
-    K = stabilizing_gain(A, B)
     S = np.zeros((n, n))
-    for iteration in range(1, max_iter + 1):
-        closed = A - B @ K
-        S = solve_lyapunov(closed, weights.Q + K.T @ (weights.R @ K))
-        K = np.linalg.solve(weights.R, B.T @ S)
-        residual = care_residual(A, B, S, weights)
-        if residual <= tol:
-            return CareSolution(S=S, residual_norm=residual, iterations=iteration)
-    raise NoConvergence(
-        f"Riccati residual {residual:.3e} above tolerance {tol:.3e} "
-        f"after {max_iter} Newton iterations"
-    )
+    iterations = 0
+    for states, inputs in _decoupled_blocks(A, B, weights):
+        square = np.ix_(states, states)
+        block_q = weights.Q[square]
+        # The block's share of the tolerance, tol |Q_b| / |Q|: the shares
+        # add up in squares to tol, and each block is solved to the same
+        # relative accuracy.  An unweighted block keeps S = 0, as Q = 0 does.
+        share = float(np.linalg.norm(block_q, ord="fro")) / q_norm
+        if share == 0.0:
+            continue
+        block_weights = LqrWeights(Q=block_q, R=weights.R[np.ix_(inputs, inputs)])
+        S[square], steps = _newton(A[square], B[np.ix_(states, inputs)], block_weights,
+                                   tol * share, max_iter)
+        iterations += steps
+    residual = care_residual(A, B, S, weights)
+    if residual > tol:
+        raise NoConvergence(
+            f"assembled Riccati residual {residual:.3e} above tolerance {tol:.3e}")
+    return CareSolution(S=S, residual_norm=residual, iterations=iterations)
 
 
 def lqr_gain(
@@ -295,16 +348,12 @@ def lqr_gain(
     weights: LqrWeights,
     tol: float | None = None,
     max_iter: int = 100,
-    structural_zero_tol: float = 1e-9,
     method: str = "newton",
 ) -> GainMatrix:
     """Optimal full-state feedback gain K = R^-1 B' S.
 
-    Entries smaller than ``structural_zero_tol`` times the largest gain
-    magnitude are snapped to exact zero: for block-decoupled plants the
-    true gain has structural zeros, and leaving solver noise in them
-    would couple otherwise-quiescent channels during simulation.  Pass
-    0 to disable the cleanup.
+    For a block-decoupled plant the gain is exactly zero between blocks,
+    because the Newton solve assembles S block by block.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -312,10 +361,6 @@ def lqr_gain(
         B = B[:, None]
     solution = solve_care(A, B, weights, tol=tol, max_iter=max_iter, method=method)
     K = np.linalg.solve(weights.R, B.T @ solution.S)
-    if structural_zero_tol > 0.0 and K.size:
-        scale = float(np.abs(K).max())
-        if scale > 0.0:
-            K[np.abs(K) < structural_zero_tol * scale] = 0.0
     if np.any(K):
         closed_eigs = np.linalg.eigvals(A - B @ K)
         if float(closed_eigs.real.max()) >= 0.0:

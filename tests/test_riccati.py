@@ -10,20 +10,40 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import block_diag, expm, qr
 
 from quadctrl import (
+    DEFAULT_Q_DIAGONAL,
+    DEFAULT_R_DIAGONAL,
     GainMatrix,
     LqrWeights,
     NoConvergence,
     NotStabilizable,
+    QuadrotorParams,
     evaluate_cost,
     feedback_control,
+    hover_jacobians,
     lqr_gain,
     solve_care,
     solve_lyapunov,
 )
-from quadctrl.riccati import GridMismatch, care_residual, stabilizing_gain
+from quadctrl.riccati import (
+    GridMismatch,
+    _decoupled_blocks,
+    care_residual,
+    stabilizing_gain,
+)
+
+# The hover plant's decoupled subsystems, as (state indices, input index)
+# in state order [x, y, z, phi, theta, psi, xdot, ydot, zdot, p, q, r].
+HOVER_BLOCKS = (
+    ((2, 8), 0),            # z, zdot; thrust
+    ((1, 3, 7, 9), 1),      # y, phi, ydot, p; roll torque
+    ((0, 4, 6, 10), 2),     # x, theta, xdot, q; pitch torque
+    ((5, 11), 3),           # psi, r; yaw torque
+)
 
 
 def chain_care_closed_form(q1, q2, r, b):
@@ -106,7 +126,7 @@ class TestLyapunovSolver:
                 assert X == pytest.approx(X.T)
 
     def test_complex_eigenvalue_blocks(self):
-        # rotation-plus-damping exercises the 2x2 Schur blocks
+        # rotation-plus-damping: a complex-conjugate spectrum
         F = np.array([[-0.5, 4.0], [-4.0, -0.5]])
         C = np.array([[1.0, 0.2], [0.2, 2.0]])
         X = solve_lyapunov(F, C)
@@ -212,11 +232,16 @@ class TestSolveCare:
                            LqrWeights(Q=default_weights.Q, R=R_heavy)).K
         assert np.linalg.norm(K_heavy[3]) < np.linalg.norm(K_base[3])
 
-    def test_not_stabilizable_rejected(self):
+    def test_not_stabilizable_rejected(self, hover_ss, default_weights):
         A = np.diag([1.0, 1.0])
         B = np.array([[1.0], [0.0]])
         with pytest.raises(NotStabilizable):
             solve_care(A, B, LqrWeights(Q=np.eye(2), R=np.eye(1)))
+        # hover plant without the yaw torque: the psi/r block has no input
+        B = hover_ss.B.copy()
+        B[:, 3] = 0.0
+        with pytest.raises(NotStabilizable):
+            solve_care(hover_ss.A, B, default_weights)
 
     def test_no_convergence_when_iterations_exhausted(self, hover_ss, default_weights):
         with pytest.raises(NoConvergence):
@@ -231,6 +256,92 @@ class TestSolveCare:
     def test_bad_method_rejected(self, hover_ss, default_weights):
         with pytest.raises(ValueError, match="method"):
             solve_care(hover_ss.A, hover_ss.B, default_weights, method="qz")
+
+
+def hamiltonian_gain(A, B, weights):
+    S = solve_care(A, B, weights, method="hamiltonian").S
+    return np.linalg.solve(weights.R, B.T @ S)
+
+
+def relative_gap(K, K_ref):
+    return np.linalg.norm(K - K_ref) / np.linalg.norm(K_ref)
+
+
+decades = st.floats(-1.0, 1.0)
+
+
+class TestBlockSolve:
+    """The Newton path splits the hover plant into its decoupled blocks;
+    the Hamiltonian path always solves the whole system and is the oracle."""
+
+    def test_hover_blocks_found(self, hover_ss, default_weights):
+        blocks = _decoupled_blocks(hover_ss.A, hover_ss.B, default_weights)
+        found = sorted((tuple(states), tuple(inputs)) for states, inputs in blocks)
+        assert found == sorted((states, (u,)) for states, u in HOVER_BLOCKS)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(mass=st.floats(0.5, 2.0),
+           inertia_scales=st.lists(st.floats(0.5, 1.5), min_size=3, max_size=3),
+           q_exponents=st.lists(decades, min_size=12, max_size=12),
+           r_exponents=st.lists(decades, min_size=4, max_size=4))
+    def test_block_gain_matches_hamiltonian(self, mass, inertia_scales,
+                                            q_exponents, r_exponents):
+        stock = QuadrotorParams()
+        ss = hover_jacobians(QuadrotorParams(
+            mass=mass,
+            inertia_xx=stock.inertia_xx * inertia_scales[0],
+            inertia_yy=stock.inertia_yy * inertia_scales[1],
+            inertia_zz=stock.inertia_zz * inertia_scales[2]))
+        weights = LqrWeights.from_diagonals(
+            [q * 10.0 ** e for q, e in zip(DEFAULT_Q_DIAGONAL, q_exponents)],
+            [r * 10.0 ** e for r, e in zip(DEFAULT_R_DIAGONAL, r_exponents)])
+        tol = 1e-9 * np.linalg.norm(weights.Q, "fro")
+        sol = solve_care(ss.A, ss.B, weights)
+        assert sol.residual_norm <= tol
+        assert care_residual(ss.A, ss.B, sol.S, weights) <= tol
+        K = lqr_gain(ss.A, ss.B, weights).K
+        assert relative_gap(K, hamiltonian_gain(ss.A, ss.B, weights)) <= 1e-8
+        for states, u in HOVER_BLOCKS:
+            outside = np.setdiff1d(np.arange(12), states)
+            assert np.all(K[u, outside] == 0.0)
+
+    def test_coupling_weight_merges_blocks(self, hover_ss, default_weights):
+        # a z-psi cross weight joins the altitude and yaw blocks
+        Q = default_weights.Q.copy()
+        Q[2, 5] = Q[5, 2] = 0.5
+        weights = LqrWeights(Q=Q, R=default_weights.R)
+        assert len(_decoupled_blocks(hover_ss.A, hover_ss.B, weights)) == 3
+        K = lqr_gain(hover_ss.A, hover_ss.B, weights).K
+        assert relative_gap(K, hamiltonian_gain(hover_ss.A, hover_ss.B, weights)) <= 1e-8
+        assert K[0, 5] != 0.0 and K[3, 2] != 0.0
+        roll_states, roll_input = HOVER_BLOCKS[1]
+        assert not K[roll_input, np.setdiff1d(np.arange(12), roll_states)].any()
+
+    def test_unweighted_block_keeps_zero_solution(self, hover_ss, default_weights):
+        # no weight on psi or r: the yaw block keeps S = 0, so the gain
+        # leaves its marginal modes unstabilized and is refused
+        Q = default_weights.Q.copy()
+        Q[5, 5] = Q[11, 11] = 0.0
+        weights = LqrWeights(Q=Q, R=default_weights.R)
+        S = solve_care(hover_ss.A, hover_ss.B, weights).S
+        assert not S[[5, 11]].any()
+        with pytest.raises(NoConvergence):
+            lqr_gain(hover_ss.A, hover_ss.B, weights)
+
+    def test_connected_graph_solved_whole(self):
+        # two double integrators tied by one off-diagonal state weight
+        A = block_diag(double_integrator()[0], double_integrator()[0])
+        B = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+        Q = np.eye(4)
+        Q[0, 2] = Q[2, 0] = 0.3
+        weights = LqrWeights(Q=Q, R=np.eye(2))
+        [(states, inputs)] = _decoupled_blocks(A, B, weights)
+        assert list(states) == [0, 1, 2, 3] and list(inputs) == [0, 1]
+        sol = solve_care(A, B, weights)
+        assert sol.residual_norm <= 1e-9 * np.linalg.norm(Q, "fro")
+        K = lqr_gain(A, B, weights).K
+        assert relative_gap(K, hamiltonian_gain(A, B, weights)) <= 1e-8
+        assert K[0, 2] != 0.0
 
 
 class TestLqrWeights:

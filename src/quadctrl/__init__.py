@@ -13,7 +13,6 @@ from .model import (
     dynamics,
     hover_equilibrium,
     rotor_mix,
-    rotor_residual,
     rotor_unmix,
 )
 from .pid import (
@@ -22,8 +21,6 @@ from .pid import (
     PidGains,
     PidState,
     Setpoints,
-    cascade_memory,
-    cascade_reset,
     cascade_step,
     gains_from_time_constants,
     pid_step,
@@ -32,7 +29,6 @@ from .riccati import (
     DEFAULT_Q_DIAGONAL,
     DEFAULT_R_DIAGONAL,
     CareSolution,
-    GainMatrix,
     LqrWeights,
     NoConvergence,
     NotStabilizable,
@@ -54,7 +50,6 @@ from .sim import (
     rk4_step,
     run_closed_loop,
     scenario_case,
-    trajectory_cost,
 )
 
 __version__ = "0.1.0"
@@ -65,7 +60,6 @@ __all__ = [
     "CascadeMemory",
     "DEFAULT_Q_DIAGONAL",
     "DEFAULT_R_DIAGONAL",
-    "GainMatrix",
     "InfeasibleMix",
     "LqrController",
     "LqrWeights",
@@ -82,8 +76,6 @@ __all__ = [
     "StateSpace",
     "ThetaOutOfRange",
     "Trajectory",
-    "cascade_memory",
-    "cascade_reset",
     "cascade_step",
     "compute_metrics",
     "dynamics",
@@ -97,11 +89,9 @@ __all__ = [
     "pid_step",
     "rk4_step",
     "rotor_mix",
-    "rotor_residual",
     "rotor_unmix",
     "run_closed_loop",
     "scenario_case",
     "solve_care",
     "solve_lyapunov",
-    "trajectory_cost",
 ]

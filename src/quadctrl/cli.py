@@ -5,16 +5,18 @@ omitted keys fall back to the stock defaults (vehicle constants, tuned
 PID gains, LQR weight diagonals, benchmark case 1):
 
     {
-      "params": {"m","l","kf","km","ixx","iyy","izz","jr","g"},
+      "params": {"m","ixx","iyy","izz","g"},
       "sim":    {"dt","t_final","plant"},
       "pid":    {"thrust"|"roll_inner"|"roll_outer"|"pitch_inner"
                  |"pitch_outer"|"yaw": {"p","i","d"},
                  "outer_decimation","gravity_feedforward"},
       "lqr":    {"q_diag":[12],"r_diag":[4]},
-      "case":   {"id","z_ref","x_ref","y_ref","psi_ref","x0":[12]},
-      "mixer":  {"include_arm_length"}
+      "case":   {"id","z_ref","x_ref","y_ref","psi_ref","x0":[12]}
     }
 
+Every key can change the output of some command.  The commands drive the
+generalized inputs u1..u4 directly, so the rotor-mixer constants (arm
+length, thrust and drag factors) are not part of the document.
 Unknown keys are rejected with their full path.  Outputs are emitted
 with 17 significant digits and Unix newlines, so repeated runs of the
 same config are byte-identical.
@@ -49,9 +51,8 @@ from .sim import (
 TRAJECTORY_HEADER = "t,x,y,z,phi,theta,psi,xdot,ydot,zdot,p,q,r,u1,u2,u3,u4"
 
 _PARAM_KEYS = {
-    "m": "mass", "l": "arm_length", "kf": "thrust_factor", "km": "drag_factor",
-    "ixx": "inertia_xx", "iyy": "inertia_yy", "izz": "inertia_zz",
-    "jr": "rotor_inertia", "g": "gravity",
+    "m": "mass", "ixx": "inertia_xx", "iyy": "inertia_yy", "izz": "inertia_zz",
+    "g": "gravity",
 }
 _PID_LOOPS = ("thrust", "roll_inner", "roll_outer", "pitch_inner", "pitch_outer", "yaw")
 _REF_KEYS = ("z_ref", "x_ref", "y_ref", "psi_ref")
@@ -69,7 +70,6 @@ class RunConfig:
     cascade: CascadeConfig
     weights: LqrWeights
     scenario: Scenario
-    include_arm_length: bool = True
 
 
 def _require_mapping(node, path: str) -> dict:
@@ -206,10 +206,7 @@ def parse_config(text: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config is not valid JSON: {exc}") from exc
     document = _require_mapping(document, "config")
-    _reject_unknown(document, ("params", "sim", "pid", "lqr", "case", "mixer"), "")
-
-    mixer = _require_mapping(document.get("mixer", {}), "mixer")
-    _reject_unknown(mixer, ("include_arm_length",), "mixer")
+    _reject_unknown(document, ("params", "sim", "pid", "lqr", "case"), "")
 
     return RunConfig(
         params=_parse_params(_require_mapping(document.get("params", {}), "params")),
@@ -218,7 +215,6 @@ def parse_config(text: str) -> RunConfig:
         scenario=_parse_scenario(
             _require_mapping(document.get("case", {}), "case"),
             _require_mapping(document.get("sim", {}), "sim")),
-        include_arm_length=_flag(mixer, "include_arm_length", "mixer", True),
     )
 
 
@@ -236,8 +232,7 @@ def make_controller(config: RunConfig, name: str):
         return PidCascadeController(config.cascade, config.params)
     if name == "lqr":
         ss = hover_jacobians(config.params)
-        gain = riccati.lqr_gain(ss.A, ss.B, config.weights)
-        return LqrController(gain, config.params)
+        return LqrController(riccati.lqr_gain(ss.A, ss.B, config.weights), config.params)
     raise ValueError(f"controller must be 'pid' or 'lqr', got {name!r}")
 
 
@@ -249,21 +244,10 @@ def trajectory_csv(trajectory: Trajectory) -> str:
     return "\n".join(rows) + "\n"
 
 
-def channel_references(references: Setpoints) -> dict[str, float]:
-    """Reference value per state channel (zero where uncontrolled)."""
-    refs = dict.fromkeys(model.STATE_LABELS, 0.0)
-    refs["x"] = references.x_ref
-    refs["y"] = references.y_ref
-    refs["z"] = references.z_ref
-    refs["psi"] = references.psi_ref
-    return refs
-
-
 def metrics_report(trajectory: Trajectory, references: Setpoints) -> dict:
-    refs = channel_references(references)
     report = {}
-    for label in model.STATE_LABELS:
-        m = sim.compute_metrics(trajectory, label, refs[label])
+    for label, reference in zip(model.STATE_LABELS, references.reference_state().tolist()):
+        m = sim.compute_metrics(trajectory, label, reference)
         report[label] = {
             "steady_state": m.steady_state_value,
             "overshoot": m.overshoot,
@@ -348,8 +332,7 @@ def cmd_linearize(config: RunConfig) -> int:
 def cmd_gain(config: RunConfig) -> int:
     """Print the LQR gain matrix (4 rows x 12 columns) as CSV."""
     ss = hover_jacobians(config.params)
-    gain = riccati.lqr_gain(ss.A, ss.B, config.weights)
-    print(_matrix_csv(gain.K))
+    print(_matrix_csv(riccati.lqr_gain(ss.A, ss.B, config.weights)))
     return 0
 
 

@@ -57,8 +57,8 @@ class QuadrotorParams:
     Defaults describe the 1 kg test platform used throughout the test
     suite: 22.5 cm arms, thrust factor 9.8e-6 N s^2/rad^2, drag factor
     1.6e-7 N m s^2/rad^2, diagonal inertia (0.0035, 0.0035, 0.005).
-    ``rotor_inertia`` defaults to zero, which disables the gyroscopic
-    coupling terms in the roll/pitch rate equations.
+    The arm length and the two rotor factors only enter the rotor
+    mixer; the dynamics take the generalized inputs directly.
     """
 
     mass: float = 1.0
@@ -68,7 +68,6 @@ class QuadrotorParams:
     inertia_xx: float = 0.0035
     inertia_yy: float = 0.0035
     inertia_zz: float = 0.005
-    rotor_inertia: float = 0.0
     gravity: float = 9.81
 
     def __post_init__(self) -> None:
@@ -76,10 +75,6 @@ class QuadrotorParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
-        if not (math.isfinite(self.rotor_inertia) and self.rotor_inertia >= 0.0):
-            raise ValueError(
-                f"rotor_inertia must be >= 0, got {self.rotor_inertia!r}"
-            )
 
     @property
     def hover_thrust(self) -> float:
@@ -92,11 +87,7 @@ class QuadrotorParams:
         return math.sqrt(self.hover_thrust / (4.0 * self.thrust_factor))
 
 
-def rotor_mix(
-    omega: np.ndarray,
-    params: QuadrotorParams,
-    include_arm_length: bool = True,
-) -> np.ndarray:
+def rotor_mix(omega: np.ndarray, params: QuadrotorParams) -> np.ndarray:
     """Map four rotor speeds (rad/s) to the generalized inputs u1..u4.
 
     u1 = kf*(w1^2 + w2^2 + w3^2 + w4^2)
@@ -104,8 +95,7 @@ def rotor_mix(
     u3 = l*kf*(w1^2 - w3^2)
     u4 = km*(w1^2 - w2^2 + w3^2 - w4^2)
 
-    The arm length keeps u2, u3 in torque units; pass
-    ``include_arm_length=False`` for the bare thrust-difference form.
+    The arm length keeps u2, u3 in torque units.
     """
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (4,):
@@ -114,7 +104,7 @@ def rotor_mix(
         raise ValueError("rotor speeds must be non-negative")
     w = omega * omega
     kf = params.thrust_factor
-    lever = params.arm_length * kf if include_arm_length else kf
+    lever = params.arm_length * kf
     return np.array([
         kf * (w[0] + w[1] + w[2] + w[3]),
         lever * (w[3] - w[1]),
@@ -123,11 +113,7 @@ def rotor_mix(
     ])
 
 
-def rotor_unmix(
-    u: np.ndarray,
-    params: QuadrotorParams,
-    include_arm_length: bool = True,
-) -> np.ndarray:
+def rotor_unmix(u: np.ndarray, params: QuadrotorParams) -> np.ndarray:
     """Invert :func:`rotor_mix`: recover the four rotor speeds from u1..u4.
 
     The induced linear system in the squared speeds has a unique
@@ -139,7 +125,7 @@ def rotor_unmix(
     if u.shape != (4,):
         raise ValueError(f"expected 4 inputs, got shape {u.shape}")
     kf = params.thrust_factor
-    lever = params.arm_length * kf if include_arm_length else kf
+    lever = params.arm_length * kf
 
     total = u[0] / kf                 # w1 + w2 + w3 + w4
     diff_roll = u[1] / lever          # w4 - w2
@@ -162,19 +148,8 @@ def rotor_unmix(
     return np.sqrt(np.clip(w, 0.0, None))
 
 
-def dynamics(
-    state: np.ndarray,
-    u: np.ndarray,
-    params: QuadrotorParams,
-    rotor_residual: float = 0.0,
-) -> np.ndarray:
-    """Time derivative of the 12-state vector under inputs u1..u4.
-
-    ``rotor_residual`` is the signed rotor-speed sum w1 - w2 + w3 - w4
-    entering the gyroscopic terms; it only matters when
-    ``params.rotor_inertia`` is nonzero (see :func:`rotor_unmix` to
-    recover it from an input vector).
-    """
+def dynamics(state: np.ndarray, u: np.ndarray, params: QuadrotorParams) -> np.ndarray:
+    """Time derivative of the 12-state vector under inputs u1..u4."""
     s = np.asarray(state, dtype=float)
     phi = float(s[PHI])
     theta = float(s[THETA])
@@ -188,7 +163,6 @@ def dynamics(
     sps, cps = math.sin(psi), math.cos(psi)
 
     accel = float(u[0]) / params.mass
-    jr = params.rotor_inertia
 
     return np.array([
         s[XDOT], s[YDOT], s[ZDOT],
@@ -196,23 +170,11 @@ def dynamics(
         (cph * sth * cps + sph * sps) * accel,
         (cph * sth * sps - sph * cps) * accel,
         cph * cth * accel - params.gravity,
-        ((params.inertia_yy - params.inertia_zz) * q * r
-         - jr * q * rotor_residual + float(u[1])) / params.inertia_xx,
-        ((params.inertia_zz - params.inertia_xx) * p * r
-         - jr * p * rotor_residual + float(u[2])) / params.inertia_yy,
+        ((params.inertia_yy - params.inertia_zz) * q * r + float(u[1])) / params.inertia_xx,
+        ((params.inertia_zz - params.inertia_xx) * p * r + float(u[2])) / params.inertia_yy,
         ((params.inertia_xx - params.inertia_yy) * p * q
          + float(u[3])) / params.inertia_zz,
     ])
-
-
-def rotor_residual(omega: np.ndarray) -> float:
-    """Signed rotor-speed sum w1 - w2 + w3 - w4 for the gyroscopic terms.
-
-    Zero whenever opposite rotor pairs spin at matched speeds (hover in
-    particular).
-    """
-    omega = np.asarray(omega, dtype=float)
-    return float(omega[0] - omega[1] + omega[2] - omega[3])
 
 
 def hover_equilibrium(
@@ -221,8 +183,8 @@ def hover_equilibrium(
     """State, input and rotor speeds of the hover fixed point.
 
     At hover the state is identically zero, thrust balances gravity and
-    all four rotors spin at the same speed, so the yaw drag torques and
-    the gyroscopic residual cancel exactly.
+    all four rotors spin at the same speed, so the yaw drag torques
+    cancel exactly.
     """
     state = np.zeros(STATE_DIM)
     u = np.array([params.hover_thrust, 0.0, 0.0, 0.0])

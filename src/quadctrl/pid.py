@@ -32,21 +32,17 @@ class PidGains:
     """Proportional/integral/derivative gains.
 
     Signs are unrestricted (outer position loops use negative gains).
-    ``integral_limit`` optionally clamps the accumulator magnitude;
-    the default leaves the integrator unbounded.
+    The integrator is unbounded.
     """
 
     kp: float
     ki: float = 0.0
     kd: float = 0.0
-    integral_limit: float | None = None
 
     def __post_init__(self) -> None:
         for name in ("kp", "ki", "kd"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.integral_limit is not None and self.integral_limit <= 0.0:
-            raise ValueError("integral_limit must be positive when set")
 
 
 @dataclass(frozen=True)
@@ -80,8 +76,6 @@ def pid_step(
         raise ValueError(f"dt must be positive, got {dt}")
     if gains.ki != 0.0:
         integral = state.integral + error * dt
-        if gains.integral_limit is not None:
-            integral = max(-gains.integral_limit, min(gains.integral_limit, integral))
     else:
         integral = state.integral
     derivative = (error - state.previous_error) / dt if state.initialized else 0.0
@@ -166,17 +160,6 @@ class CascadeMemory:
     step_count: int = 0
     phi_ref: float = 0.0
     theta_ref: float = 0.0
-
-
-def cascade_memory() -> CascadeMemory:
-    """Fresh controller memory (all loops primed at zero error)."""
-    return CascadeMemory()
-
-
-def cascade_reset(memory: CascadeMemory) -> CascadeMemory:
-    """Zero every loop's accumulator and held setpoint (idempotent)."""
-    del memory
-    return cascade_memory()
 
 
 def cascade_step(

@@ -38,9 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import trapezoid
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve, schur
 
-from .linearize import is_controllable
+from . import model
+from .linearize import controllability_matrix, is_controllable
 
 # Default LQR weights for the 12-state hover model, in state order
 # [x, y, z, phi, theta, psi, xdot, ydot, zdot, p, q, r].  Tuned so the
@@ -103,13 +104,6 @@ class CareSolution:
     S: np.ndarray
     residual_norm: float
     iterations: int
-
-
-@dataclass(frozen=True)
-class GainMatrix:
-    """Full-state feedback gain K, one row per input."""
-
-    K: np.ndarray
 
 
 def solve_lyapunov(F: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -342,24 +336,29 @@ def solve_care(
     return CareSolution(S=S, residual_norm=residual, iterations=iterations)
 
 
-def lqr_gain(
-    A: np.ndarray,
-    B: np.ndarray,
-    weights: LqrWeights,
-    tol: float | None = None,
-    max_iter: int = 100,
-    method: str = "newton",
-) -> GainMatrix:
-    """Optimal full-state feedback gain K = R^-1 B' S.
+def lqr_gain(A: np.ndarray, B: np.ndarray, weights: LqrWeights) -> np.ndarray:
+    """Optimal full-state feedback gain K = R^-1 B' S, one row per input.
 
     For a block-decoupled plant the gain is exactly zero between blocks,
-    because the Newton solve assembles S block by block.
+    because the Newton solve assembles S block by block.  A nonzero Q
+    must make (A, Q) detectable: a mode with Re >= 0 that Q does not see
+    is left unstabilized by the optimal policy, so such weights are
+    refused with :class:`NoConvergence` naming the state channels that
+    carry the mode.  Q = 0 gives K = 0 (no control).
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if B.ndim == 1:
         B = B[:, None]
-    solution = solve_care(A, B, weights, tol=tol, max_iter=max_iter, method=method)
+    if np.any(weights.Q):
+        unseen = _undetectable_states(A, weights.Q)
+        if unseen.size:
+            labels = (model.STATE_LABELS if A.shape[0] == model.STATE_DIM
+                      else [f"state {i}" for i in range(A.shape[0])])
+            raise NoConvergence(
+                "(A, Q) is not detectable: Q does not weight a mode with "
+                "Re >= 0 on " + ", ".join(labels[i] for i in unseen))
+    solution = solve_care(A, B, weights)
     K = np.linalg.solve(weights.R, B.T @ solution.S)
     if np.any(K):
         closed_eigs = np.linalg.eigvals(A - B @ K)
@@ -368,17 +367,38 @@ def lqr_gain(
                 "computed gain does not stabilize the plant "
                 f"(max closed-loop real part {closed_eigs.real.max():.3e})"
             )
-    return GainMatrix(K=K)
+    return K
+
+
+def _undetectable_states(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Indices of the states that carry a mode of A with Re >= 0 unseen by Q.
+
+    The unobservable subspace of (A, Q) is the null space of the
+    observability matrix [Q; Q A; ...; Q A^(n-1)], the transpose of the
+    controllability matrix of (A', Q).  It is A-invariant, so A
+    restricted to it is N' A N for an orthonormal basis N; its Schur
+    form, sorted, splits off the modes that are not strictly stable.
+    """
+    observability = controllability_matrix(A.T, Q).T
+    _, sigma, vt = np.linalg.svd(observability)
+    # numpy's matrix_rank threshold: weights ~1e-13 below the largest count as zero
+    cutoff = sigma[0] * max(observability.shape) * np.finfo(float).eps
+    rank = int(np.count_nonzero(sigma > cutoff))
+    unobservable = vt[rank:].T
+    # the same strict margin as stabilizing_gain: marginal modes count
+    _, Z, count = schur(unobservable.T @ A @ unobservable,
+                        sort=lambda re, im: re >= -1e-9)
+    modes = unobservable @ Z[:, :count]
+    return np.flatnonzero(np.abs(modes).max(axis=1, initial=0.0) > 1e-8)
 
 
 def feedback_control(
-    gain: GainMatrix | np.ndarray,
+    K: np.ndarray,
     state: np.ndarray,
     reference: np.ndarray,
     u_equilibrium: np.ndarray,
 ) -> np.ndarray:
     """Control law u = u_eq - K (state - reference)."""
-    K = gain.K if isinstance(gain, GainMatrix) else np.asarray(gain, dtype=float)
     deviation = np.asarray(state, dtype=float) - np.asarray(reference, dtype=float)
     return np.asarray(u_equilibrium, dtype=float) - K @ deviation
 

@@ -18,13 +18,16 @@ import numpy as np
 from . import model, riccati
 from .linearize import hover_jacobians
 from .model import QuadrotorParams
-from .pid import CascadeConfig, Setpoints, cascade_memory, cascade_step
+from .pid import CascadeConfig, CascadeMemory, Setpoints, cascade_step
 
 PLANT_MODES = ("nonlinear", "linear")
 
 # Stock scenario defaults shared by the three benchmark cases.
 DEFAULT_DURATION = 15.0
 DEFAULT_DT = 1e-3
+
+# Settling band of compute_metrics, as a fraction of the step magnitude.
+SETTLING_BAND = 0.02
 
 CASE2_INITIAL_STATE = (1.0, 1.0, 0.2, 1.0, 1.0, 0.0,
                        1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
@@ -178,10 +181,9 @@ def scenario_case(case_id: int, **overrides) -> Scenario:
 class LqrController:
     """Full-state feedback u = u_hover - K (x - x_ref); stateless."""
 
-    def __init__(self, gain: riccati.GainMatrix | np.ndarray,
-                 params: QuadrotorParams):
-        self.K = gain.K if isinstance(gain, riccati.GainMatrix) else np.asarray(gain, dtype=float)
-        self.u_equilibrium = np.array([params.hover_thrust, 0.0, 0.0, 0.0])
+    def __init__(self, K: np.ndarray, params: QuadrotorParams):
+        self.K = np.asarray(K, dtype=float)
+        _, self.u_equilibrium, _ = model.hover_equilibrium(params)
 
     def reset(self) -> None:
         pass
@@ -198,10 +200,10 @@ class PidCascadeController:
     def __init__(self, config: CascadeConfig, params: QuadrotorParams):
         self.config = config
         self.params = params
-        self._memory = cascade_memory()
+        self._memory = CascadeMemory()
 
     def reset(self) -> None:
-        self._memory = cascade_memory()
+        self._memory = CascadeMemory()
 
     def control(self, state: np.ndarray, references: Setpoints, dt: float) -> np.ndarray:
         u, self._memory = cascade_step(
@@ -225,7 +227,7 @@ def run_closed_loop(scenario: Scenario, controller, params: QuadrotorParams) -> 
 
     if scenario.plant_mode == "linear":
         ss = hover_jacobians(params)
-        u_eq = np.array([params.hover_thrust, 0.0, 0.0, 0.0])
+        _, u_eq, _ = model.hover_equilibrium(params)
 
         def derivative(s, u):
             return ss.A @ s + ss.B @ (u - u_eq)
@@ -254,32 +256,15 @@ def run_closed_loop(scenario: Scenario, controller, params: QuadrotorParams) -> 
     return Trajectory(times=times, states=states, controls=controls)
 
 
-def trajectory_cost(
-    trajectory: Trajectory,
-    weights: riccati.LqrWeights,
-    reference: np.ndarray | None = None,
-) -> float:
-    """Quadratic regulator cost accumulated along a simulated run."""
-    return riccati.evaluate_cost(trajectory.times, trajectory.states,
-                                 trajectory.controls, weights, reference)
-
-
-def compute_metrics(
-    trajectory: Trajectory,
-    channel: str,
-    reference: float,
-    band: float = 0.02,
-) -> Metrics:
+def compute_metrics(trajectory: Trajectory, channel: str, reference: float) -> Metrics:
     """Step-response metrics of one state channel.
 
     The steady state is the mean of the final 5% of samples.  The
-    settling band is ``band`` times the step magnitude around the
-    steady state, with an absolute floor of 0.02 for regulation to a
+    settling band is ``SETTLING_BAND`` times the step magnitude around
+    the steady state, with an absolute floor of 0.02 for regulation to a
     zero reference (where the relative band would collapse as the step
     does).
     """
-    if not 0.0 < band <= 0.2:
-        raise ValueError(f"band must lie in (0, 0.2], got {band}")
     y = trajectory.channel(channel)
     times = trajectory.times
     n = y.shape[0]
@@ -288,11 +273,11 @@ def compute_metrics(
     steady = float(np.mean(y[n - tail:]))
     step = steady - float(y[0])
 
-    tolerance = band * abs(step)
+    tolerance = SETTLING_BAND * abs(step)
     if reference == 0.0:
         tolerance = max(tolerance, 0.02)
     if abs(step) < 1e-12:
-        tolerance = max(tolerance, band * max(abs(reference), 1e-12), 1e-12)
+        tolerance = max(tolerance, SETTLING_BAND * max(abs(reference), 1e-12), 1e-12)
 
     error = np.abs(y - steady)
     outside = np.flatnonzero(error > tolerance)

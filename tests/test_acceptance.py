@@ -113,14 +113,14 @@ def test_criterion_1_riccati_residual_and_stability(bench_system):
         tolerance = 1e-9 * np.linalg.norm(weights.Q, "fro")
         assert solution.residual_norm < tolerance
         assert care_residual(ss.A, ss.B, solution.S, weights) < tolerance
-        closed = np.linalg.eigvals(ss.A - ss.B @ gain.K)
+        closed = np.linalg.eigvals(ss.A - ss.B @ gain)
         assert float(closed.real.max()) < -1e-9
         assert elapsed < 1.0
 
 
 def test_criterion_2_gain_reproduction(bench_gain, bench_params):
     with criterion(2, "yaw and altitude gain reproduction"):
-        K = bench_gain.K
+        K = bench_gain
         yaw_psi, yaw_rate = K[3, 5], K[3, 11]
         # reference targets: yaw row [100, 32], altitude position gain 1.3
         assert abs(yaw_psi - 100.0) / 100.0 < 0.02
@@ -142,7 +142,7 @@ def test_criterion_3_double_integrator_oracle():
     with criterion(3, "double-integrator gain"):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
         B = np.array([[0.0], [1.0]])
-        K = lqr_gain(A, B, LqrWeights(Q=np.eye(2), R=np.eye(1))).K
+        K = lqr_gain(A, B, LqrWeights(Q=np.eye(2), R=np.eye(1)))
         assert K[0] == pytest.approx([1.0, math.sqrt(3.0)], abs=1e-8)
 
 

@@ -1,6 +1,11 @@
 """Tests for config parsing, subcommands and artifact emission."""
 
+import contextlib
+import copy
+import dataclasses
+import io
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -16,7 +21,7 @@ from quadctrl.cli import (
     parse_config,
     trajectory_csv,
 )
-from quadctrl.sim import scenario_case
+from quadctrl.sim import CASE2_INITIAL_STATE, scenario_case
 
 FAST_SIM = {"sim": {"dt": 0.01, "t_final": 2.0}}
 
@@ -30,7 +35,6 @@ class TestParseConfig:
         assert np.array_equal(np.diag(config.weights.R), [1.0, 0.001, 0.001, 0.001])
         assert config.scenario.case_id == 1
         assert config.scenario.references.z_ref == 1.0
-        assert config.include_arm_length
 
     def test_negative_mass_rejected_with_path(self):
         with pytest.raises(ValueError, match="params"):
@@ -91,10 +95,6 @@ class TestParseConfig:
             parse_config('{"sim": {"plant": "exact"}}')
         with pytest.raises(ValueError, match="outer_decimation"):
             parse_config('{"pid": {"outer_decimation": 0}}')
-
-    def test_mixer_flag(self):
-        config = parse_config('{"mixer": {"include_arm_length": false}}')
-        assert not config.include_arm_length
 
 
 class TestCmdRun:
@@ -202,6 +202,16 @@ class TestMatrixCommands:
         cmd_gain(parse_config("{}"))
         assert capsys.readouterr().out == first
 
+    def test_undetectable_weights_exit_one(self, tmp_path, capsys):
+        q_diag = [500, 200, 1.71, 600, 1400, 0, 60, 60, 2.0, 0.25, 10, 1]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"lqr": {"q_diag": q_diag}}))
+        assert main(["--config", str(cfg), "gain"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: (A, Q) is not detectable: Q does not "
+                                "weight a mode with Re >= 0 on psi\n")
+
     def test_zero_state_weight_emits_zero_matrix(self, capsys):
         config = parse_config(json.dumps({"lqr": {"q_diag": [0.0] * 12}}))
         assert cmd_gain(config) == 0
@@ -227,3 +237,125 @@ class TestMainEntry:
         assert "\r" not in text
         z_column = text.splitlines()[-1].split(",")[3]
         assert float(z_column) == trajectory.states[-1, 2]
+
+
+# The full default document, as in the README.
+DEFAULT_DOCUMENT = {
+    "params": {"m": 1.0, "ixx": 0.0035, "iyy": 0.0035, "izz": 0.005, "g": 9.81},
+    "sim": {"dt": 0.001, "t_final": 15.0, "plant": "nonlinear"},
+    "pid": {"thrust": {"p": 9.09, "i": 1.94, "d": 10.41},
+            "roll_inner": {"p": 4.04, "i": 10.03, "d": 0.33},
+            "roll_outer": {"p": -2.92, "i": -0.032, "d": -4.68},
+            "pitch_inner": {"p": 4.04, "i": 10.03, "d": 0.33},
+            "pitch_outer": {"p": -2.92, "i": -0.032, "d": -4.68},
+            "yaw": {"p": 1.3e-2, "i": 7.6e-4, "d": 4.9e-2},
+            "outer_decimation": 10, "gravity_feedforward": True},
+    "lqr": {"q_diag": [500, 200, 1.71, 600, 1400, 10, 60, 60, 2.0, 0.25, 10, 1],
+            "r_diag": [1.0, 0.001, 0.001, 0.001]},
+    "case": {"id": 1, "z_ref": 1.0, "x_ref": 0.0, "y_ref": 0.0,
+             "psi_ref": 0.0, "x0": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]},
+}
+
+# A 1% copy of case 2's disturbed start excites every loop of both
+# controllers without pinning the outer loops at their angle limit; the
+# fine grid keeps the stock LQR's sampled loop stable (200 steps).
+SURFACE_BASE = {"case": {"id": 2, "x0": [0.01 * v for v in CASE2_INITIAL_STATE]},
+                "sim": {"dt": 5e-5, "t_final": 0.01}}
+
+
+def leaf_paths(node, prefix=()):
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from leaf_paths(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+def lookup(document, path):
+    for key in path:
+        document = document[key]
+    return document
+
+
+def perturbed(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, str):
+        return "linear"
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, list):
+        return [value[0] + 1] + value[1:]
+    return 1.5 * value if value else 0.25
+
+
+def command_outputs(document, tmp_path):
+    """Exit code, stdout and artifact bytes of every command on one config."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(document))
+    outputs = {}
+    for argv in (["linearize"], ["gain"], ["run", "--controller", "pid"],
+                 ["run", "--controller", "lqr"]):
+        out = tmp_path / "out"
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["--config", str(cfg), *argv]
+                        + (["--out", str(out)] if argv[0] == "run" else []))
+        files = {f.name: f.read_bytes() for f in out.iterdir()} if out.exists() else {}
+        outputs[" ".join(argv)] = (code, stdout.getvalue(), files)
+        shutil.rmtree(out, ignore_errors=True)
+    return outputs
+
+
+def canonical(config):
+    return json.dumps(dataclasses.asdict(config), default=np.ndarray.tolist,
+                      sort_keys=True)
+
+
+class TestConfigSurface:
+    """Every key the CLI accepts changes some output; removed keys are refused."""
+
+    def test_default_document_matches_empty(self, capsys):
+        assert canonical(parse_config(json.dumps(DEFAULT_DOCUMENT))) == \
+            canonical(parse_config("{}"))
+        for command in (cmd_gain, cmd_linearize):
+            command(parse_config(json.dumps(DEFAULT_DOCUMENT)))
+            from_document = capsys.readouterr().out
+            command(parse_config("{}"))
+            assert capsys.readouterr().out == from_document
+
+    def test_leaf_key_count(self):
+        assert len(list(leaf_paths(DEFAULT_DOCUMENT))) == 36
+
+    @pytest.fixture(scope="class")
+    def base_outputs(self, tmp_path_factory):
+        return command_outputs(SURFACE_BASE, tmp_path_factory.mktemp("base"))
+
+    @pytest.mark.parametrize("path", list(leaf_paths(DEFAULT_DOCUMENT)),
+                             ids=".".join)
+    def test_every_key_has_an_effect(self, path, base_outputs, tmp_path):
+        document = copy.deepcopy(SURFACE_BASE)
+        node = document
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        try:
+            current = lookup(SURFACE_BASE, path)
+        except KeyError:
+            current = lookup(DEFAULT_DOCUMENT, path)
+        node[path[-1]] = perturbed(current)
+        changed = command_outputs(document, tmp_path)
+        assert all(code != 1 for code, _, _ in changed.values()), changed
+        assert changed != base_outputs
+
+    @pytest.mark.parametrize("document, message", [
+        ({"params": {"l": 0.2}}, "params.l: unknown key"),
+        ({"params": {"kf": 1e-5}}, "params.kf: unknown key"),
+        ({"params": {"km": 1e-7}}, "params.km: unknown key"),
+        ({"params": {"jr": 0}}, "params.jr: unknown key"),
+        ({"mixer": {"include_arm_length": True}}, "mixer: unknown key"),
+    ])
+    def test_removed_keys_refused(self, document, message, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(document))
+        assert main(["--config", str(cfg), "gain"]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadctrl import (
     InfeasibleMix,
@@ -25,7 +27,6 @@ class TestQuadrotorParams:
         assert params.inertia_xx == 0.0035
         assert params.inertia_yy == 0.0035
         assert params.inertia_zz == 0.005
-        assert params.rotor_inertia == 0.0
         assert params.gravity == 9.81
 
     @pytest.mark.parametrize("field", [
@@ -37,12 +38,6 @@ class TestQuadrotorParams:
             QuadrotorParams(**{field: -1.0})
         with pytest.raises(ValueError, match=field):
             QuadrotorParams(**{field: 0.0})
-
-    def test_rotor_inertia_may_be_zero_but_not_negative(self):
-        QuadrotorParams(rotor_inertia=0.0)
-        QuadrotorParams(rotor_inertia=3.4e-5)
-        with pytest.raises(ValueError, match="rotor_inertia"):
-            QuadrotorParams(rotor_inertia=-1e-6)
 
 
 class TestRotorMix:
@@ -60,14 +55,6 @@ class TestRotorMix:
         expected = 0.225 * 9.8e-6 * (510.0**2 - 500.0**2)
         assert u[1] == pytest.approx(expected, rel=1e-12)
         assert u[1] == pytest.approx(0.0222705, abs=1e-7)
-
-    def test_arm_length_switch_drops_lever(self, params):
-        omega = np.array([500.0, 500.0, 500.0, 510.0])
-        with_arm = rotor_mix(omega, params, include_arm_length=True)
-        without = rotor_mix(omega, params, include_arm_length=False)
-        assert with_arm[1] == pytest.approx(0.225 * without[1], rel=1e-12)
-        assert with_arm[0] == without[0]
-        assert with_arm[3] == without[3]
 
     def test_thrust_invariant_under_rotor_permutation(self, params, rng):
         from itertools import permutations
@@ -100,11 +87,13 @@ class TestRotorUnmix:
             u_back = rotor_mix(rotor_unmix(u, params), params)
             assert u_back == pytest.approx(u, rel=1e-9)
 
-    def test_round_trip_without_arm_length(self, params, rng):
-        omega = rng.uniform(100.0, 700.0, size=4)
-        u = rotor_mix(omega, params, include_arm_length=False)
-        back = rotor_unmix(u, params, include_arm_length=False)
-        assert back == pytest.approx(omega, rel=1e-9)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(0.0, 2000.0), min_size=4, max_size=4))
+    def test_round_trip_recovers_squared_speeds(self, params, speeds):
+        omega = np.array(speeds)
+        back = rotor_unmix(rotor_mix(omega, params), params)
+        squared = omega * omega
+        assert np.abs(back * back - squared).max() <= 1e-12 * squared.max()
 
 
 class TestDynamics:
@@ -137,7 +126,7 @@ class TestDynamics:
             assert deriv[8] == u1 / params.mass - params.gravity
 
     def test_rates_depend_only_on_rates_and_torques(self, params, rng):
-        # rotor_inertia = 0 removes every other coupling into pdot/qdot/rdot
+        # only the body rates and torques enter pdot/qdot/rdot
         u = np.array([5.0, 0.02, -0.01, 0.005])
         base = rng.normal(size=12)
         ref = dynamics(base, u, params)[9:12]
@@ -147,21 +136,6 @@ class TestDynamics:
             if idx in (3, 4):
                 bumped[idx] = np.clip(bumped[idx], -1.2, 1.2)
             assert dynamics(bumped, u, params)[9:12] == pytest.approx(ref, rel=1e-12)
-
-    def test_gyroscopic_residual_with_rotor_inertia(self, params):
-        spinning = QuadrotorParams(rotor_inertia=6e-5)
-        state = np.zeros(12)
-        state[9:12] = [0.4, -0.3, 0.2]   # p, q, r
-        u = np.array([9.81, 0.0, 0.0, 0.0])
-        residual = 25.0
-        plain = dynamics(state, u, spinning, rotor_residual=0.0)
-        gyro = dynamics(state, u, spinning, rotor_residual=residual)
-        jr = spinning.rotor_inertia
-        assert gyro[9] - plain[9] == pytest.approx(
-            -jr / spinning.inertia_xx * state[10] * residual, rel=1e-12)
-        assert gyro[10] - plain[10] == pytest.approx(
-            -jr / spinning.inertia_yy * state[9] * residual, rel=1e-12)
-        assert gyro[11] == plain[11]
 
 
 class TestHoverEquilibrium:
@@ -183,18 +157,6 @@ class TestHoverEquilibrium:
         state, u, omega = hover_equilibrium(params)
         assert rotor_mix(omega, params) == pytest.approx(u, rel=1e-12)
         assert np.linalg.norm(dynamics(state, u, params)) < 1e-12
-
-
-class TestRotorResidual:
-    def test_matched_pairs_cancel(self, params):
-        from quadctrl import rotor_residual
-        _, _, omega = hover_equilibrium(params)
-        assert rotor_residual(omega) == 0.0
-        assert rotor_residual([400.0, 380.0, 360.0, 380.0]) == pytest.approx(0.0)
-
-    def test_signed_sum(self):
-        from quadctrl import rotor_residual
-        assert rotor_residual([510.0, 500.0, 505.0, 500.0]) == pytest.approx(15.0)
 
 
 class TestAngles:

@@ -1,15 +1,17 @@
 """Tests for the discrete PID primitive and the cascaded controller."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from quadctrl import (
     CascadeConfig,
+    CascadeMemory,
+    PidCascadeController,
     PidGains,
     PidState,
     Setpoints,
-    cascade_memory,
-    cascade_reset,
     cascade_step,
     gains_from_time_constants,
     pid_step,
@@ -67,14 +69,6 @@ class TestPidStep:
         assert out == 3.0
         assert new_state.integral == state.integral
         assert new_state.previous_error == 1.5
-
-    def test_integral_clamp(self):
-        gains = PidGains(kp=0.0, ki=1.0, kd=0.0, integral_limit=0.5)
-        state = PidState()
-        for _ in range(2000):
-            out, state = pid_step(gains, state, 1.0, dt=0.01)
-        assert state.integral == 0.5
-        assert out == 0.5
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError, match="dt"):
@@ -145,19 +139,19 @@ class TestCascadeConfig:
 class TestCascadeStep:
     def test_zero_error_gives_feedforward_only(self, params):
         u, _ = cascade_step(CascadeConfig(), np.zeros(12), Setpoints(),
-                            cascade_memory(), 0.001, params)
+                            CascadeMemory(), 0.001, params)
         assert u == pytest.approx([9.81, 0.0, 0.0, 0.0], abs=1e-15)
 
     def test_altitude_error_raises_thrust_only(self, params):
         u, _ = cascade_step(CascadeConfig(), np.zeros(12), Setpoints(z_ref=1.0),
-                            cascade_memory(), 0.001, params)
+                            CascadeMemory(), 0.001, params)
         assert u[0] > 9.81
         assert u[1] == u[2] == u[3] == 0.0
 
     def test_lateral_error_commands_negative_roll(self, params):
         # positive y error with lateral acceleration -g*phi needs phi < 0
         u, memory = cascade_step(CascadeConfig(), np.zeros(12), Setpoints(y_ref=1.0),
-                                 cascade_memory(), 0.001, params)
+                                 CascadeMemory(), 0.001, params)
         assert memory.phi_ref < 0.0
         assert u[1] < 0.0   # torque drives phi toward the negative setpoint
         assert u[2] == 0.0
@@ -165,17 +159,17 @@ class TestCascadeStep:
     def test_forward_error_commands_positive_pitch(self, params):
         # positive x error with forward acceleration +g*theta needs theta > 0
         _, memory = cascade_step(CascadeConfig(), np.zeros(12), Setpoints(x_ref=1.0),
-                                 cascade_memory(), 0.001, params)
+                                 CascadeMemory(), 0.001, params)
         assert memory.theta_ref > 0.0
 
     def test_angle_setpoint_clamped(self, params):
         _, memory = cascade_step(CascadeConfig(), np.zeros(12), Setpoints(y_ref=50.0),
-                                 cascade_memory(), 0.001, params)
+                                 CascadeMemory(), 0.001, params)
         assert abs(memory.phi_ref) == 0.5
 
     def test_outer_loop_decimation(self, params):
         config = CascadeConfig(outer_decimation=5)
-        memory = cascade_memory()
+        memory = CascadeMemory()
         state = np.zeros(12)
         outer_history = []
         for step in range(12):
@@ -189,7 +183,7 @@ class TestCascadeStep:
 
     def test_zero_gains_hold_feedforward_forever(self, params, rng):
         config = all_zero_config()
-        memory = cascade_memory()
+        memory = CascadeMemory()
         for _ in range(50):
             state = rng.normal(size=12)
             u, memory = cascade_step(config, state, Setpoints(z_ref=2.0),
@@ -199,14 +193,14 @@ class TestCascadeStep:
     def test_feedforward_disabled(self, params):
         config = CascadeConfig(gravity_feedforward=False)
         u, _ = cascade_step(config, np.zeros(12), Setpoints(),
-                            cascade_memory(), 0.001, params)
+                            CascadeMemory(), 0.001, params)
         assert u == pytest.approx([0.0, 0.0, 0.0, 0.0], abs=1e-15)
 
     def test_deterministic(self, params, rng):
         states = rng.normal(size=(20, 12)) * 0.1
 
         def run():
-            memory = cascade_memory()
+            memory = CascadeMemory()
             outputs = []
             for s in states:
                 u, memory = cascade_step(CascadeConfig(), s, Setpoints(z_ref=1.0),
@@ -219,24 +213,32 @@ class TestCascadeStep:
 
 class TestCascadeReset:
     def test_reset_then_zero_error_is_feedforward_only(self, params):
-        memory = cascade_memory()
+        controller = PidCascadeController(CascadeConfig(), params)
         for _ in range(10):
-            _, memory = cascade_step(CascadeConfig(), np.ones(12) * 0.1,
-                                     Setpoints(z_ref=1.0), memory, 0.001, params)
-        memory = cascade_reset(memory)
-        u, _ = cascade_step(CascadeConfig(), np.zeros(12), Setpoints(),
-                            memory, 0.001, params)
+            controller.control(np.ones(12) * 0.1, Setpoints(z_ref=1.0), 0.001)
+        controller.reset()
+        u = controller.control(np.zeros(12), Setpoints(), 0.001)
         assert u == pytest.approx([9.81, 0.0, 0.0, 0.0], abs=1e-15)
 
-    def test_reset_is_idempotent(self):
-        memory = cascade_memory()
-        assert cascade_reset(cascade_reset(memory)) == cascade_reset(memory)
+    def test_reset_is_idempotent(self, params, rng):
+        states = rng.normal(size=(20, 12)) * 0.1
 
-    def test_reset_clears_saturated_integrator(self):
-        import dataclasses
-        memory = cascade_memory()
-        saturated = dataclasses.replace(
-            memory, thrust=PidState(integral=1e6, previous_error=3.0, initialized=True))
-        cleared = cascade_reset(saturated)
-        assert cleared.thrust.integral == 0.0
-        assert cleared.thrust.previous_error == 0.0
+        def outputs(resets):
+            controller = PidCascadeController(CascadeConfig(), params)
+            for s in states:
+                controller.control(s, Setpoints(z_ref=1.0), 0.001)
+            for _ in range(resets):
+                controller.reset()
+            return [controller.control(s, Setpoints(z_ref=1.0), 0.001).tolist()
+                    for s in states]
+
+        assert outputs(2) == outputs(1)
+
+    def test_reset_clears_saturated_integrator(self, params):
+        controller = PidCascadeController(CascadeConfig(), params)
+        controller._memory = dataclasses.replace(
+            CascadeMemory(),
+            thrust=PidState(integral=1e6, previous_error=3.0, initialized=True))
+        controller.reset()
+        u = controller.control(np.zeros(12), Setpoints(), 0.001)
+        assert u == pytest.approx([9.81, 0.0, 0.0, 0.0], abs=1e-15)

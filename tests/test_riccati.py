@@ -17,7 +17,6 @@ from scipy.linalg import block_diag, expm, qr
 from quadctrl import (
     DEFAULT_Q_DIAGONAL,
     DEFAULT_R_DIAGONAL,
-    GainMatrix,
     LqrWeights,
     NoConvergence,
     NotStabilizable,
@@ -176,7 +175,7 @@ class TestSolveCare:
         sol = solve_care(A, B, weights)
         S_exact, K_exact = chain_care_closed_form(10.0, 1.0, 0.001, b)
         assert sol.S == pytest.approx(S_exact, rel=1e-9)
-        K = lqr_gain(A, B, weights).K
+        K = lqr_gain(A, B, weights)
         assert K[0] == pytest.approx(K_exact, rel=1e-9)
         assert K[0] == pytest.approx([100.0, 31.64], abs=5e-3)
 
@@ -197,7 +196,7 @@ class TestSolveCare:
             sol = solve_care(A, B, weights)
             tol = 1e-9 * np.linalg.norm(weights.Q, "fro")
             assert care_residual(A, B, sol.S, weights) <= tol
-            K = lqr_gain(A, B, weights).K
+            K = lqr_gain(A, B, weights)
             closed = A - B @ K
             assert np.max(np.linalg.eigvals(closed).real) < -1e-9
             # matrix-exponential decay oracle over a 10 s horizon
@@ -219,17 +218,17 @@ class TestSolveCare:
             assert s_hamilton == pytest.approx(s_newton, rel=1e-7, abs=1e-9)
 
     def test_weight_scaling_leaves_gain_unchanged(self, hover_ss, default_weights):
-        K_base = lqr_gain(hover_ss.A, hover_ss.B, default_weights).K
+        K_base = lqr_gain(hover_ss.A, hover_ss.B, default_weights)
         scaled = LqrWeights(Q=37.5 * default_weights.Q, R=37.5 * default_weights.R)
-        K_scaled = lqr_gain(hover_ss.A, hover_ss.B, scaled).K
+        K_scaled = lqr_gain(hover_ss.A, hover_ss.B, scaled)
         assert K_scaled == pytest.approx(K_base, rel=1e-8)
 
     def test_raising_yaw_effort_weight_shrinks_yaw_row(self, hover_ss, default_weights):
-        K_base = lqr_gain(hover_ss.A, hover_ss.B, default_weights).K
+        K_base = lqr_gain(hover_ss.A, hover_ss.B, default_weights)
         R_heavy = default_weights.R.copy()
         R_heavy[3, 3] *= 10.0
         K_heavy = lqr_gain(hover_ss.A, hover_ss.B,
-                           LqrWeights(Q=default_weights.Q, R=R_heavy)).K
+                           LqrWeights(Q=default_weights.Q, R=R_heavy))
         assert np.linalg.norm(K_heavy[3]) < np.linalg.norm(K_base[3])
 
     def test_not_stabilizable_rejected(self, hover_ss, default_weights):
@@ -251,7 +250,7 @@ class TestSolveCare:
         weights = LqrWeights(Q=np.zeros((12, 12)), R=np.diag([1.0, 0.001, 0.001, 0.001]))
         sol = solve_care(hover_ss.A, hover_ss.B, weights)
         assert not sol.S.any()
-        assert not lqr_gain(hover_ss.A, hover_ss.B, weights).K.any()
+        assert not lqr_gain(hover_ss.A, hover_ss.B, weights).any()
 
     def test_bad_method_rejected(self, hover_ss, default_weights):
         with pytest.raises(ValueError, match="method"):
@@ -299,7 +298,7 @@ class TestBlockSolve:
         sol = solve_care(ss.A, ss.B, weights)
         assert sol.residual_norm <= tol
         assert care_residual(ss.A, ss.B, sol.S, weights) <= tol
-        K = lqr_gain(ss.A, ss.B, weights).K
+        K = lqr_gain(ss.A, ss.B, weights)
         assert relative_gap(K, hamiltonian_gain(ss.A, ss.B, weights)) <= 1e-8
         for states, u in HOVER_BLOCKS:
             outside = np.setdiff1d(np.arange(12), states)
@@ -311,7 +310,7 @@ class TestBlockSolve:
         Q[2, 5] = Q[5, 2] = 0.5
         weights = LqrWeights(Q=Q, R=default_weights.R)
         assert len(_decoupled_blocks(hover_ss.A, hover_ss.B, weights)) == 3
-        K = lqr_gain(hover_ss.A, hover_ss.B, weights).K
+        K = lqr_gain(hover_ss.A, hover_ss.B, weights)
         assert relative_gap(K, hamiltonian_gain(hover_ss.A, hover_ss.B, weights)) <= 1e-8
         assert K[0, 5] != 0.0 and K[3, 2] != 0.0
         roll_states, roll_input = HOVER_BLOCKS[1]
@@ -328,6 +327,24 @@ class TestBlockSolve:
         with pytest.raises(NoConvergence):
             lqr_gain(hover_ss.A, hover_ss.B, weights)
 
+    def test_undetectable_weights_refused(self, hover_ss, default_weights):
+        # psi weighted only through r: the heading drift mode (eigenvalue
+        # 0) is unseen by Q, so the optimal policy would not remove it
+        Q = default_weights.Q.copy()
+        Q[5, 5] = 0.0
+        with pytest.raises(NoConvergence, match="not detectable.* on psi$"):
+            lqr_gain(hover_ss.A, hover_ss.B, LqrWeights(Q=Q, R=default_weights.R))
+
+    def test_detectability_needs_only_unstable_modes_seen(self):
+        B, R = np.eye(2), np.eye(2)
+        Q = np.diag([0.0, 1.0])
+        # an unweighted stable mode is fine and gets no feedback
+        K = lqr_gain(np.diag([-1.0, 0.0]), B, LqrWeights(Q=Q, R=R))
+        assert K[0, 0] == 0.0 and K[1, 1] == pytest.approx(1.0, rel=1e-9)
+        # an unweighted unstable mode is refused, named by its index
+        with pytest.raises(NoConvergence, match="on state 0$"):
+            lqr_gain(np.diag([1.0, 0.0]), B, LqrWeights(Q=Q, R=R))
+
     def test_connected_graph_solved_whole(self):
         # two double integrators tied by one off-diagonal state weight
         A = block_diag(double_integrator()[0], double_integrator()[0])
@@ -339,7 +356,7 @@ class TestBlockSolve:
         assert list(states) == [0, 1, 2, 3] and list(inputs) == [0, 1]
         sol = solve_care(A, B, weights)
         assert sol.residual_norm <= 1e-9 * np.linalg.norm(Q, "fro")
-        K = lqr_gain(A, B, weights).K
+        K = lqr_gain(A, B, weights)
         assert relative_gap(K, hamiltonian_gain(A, B, weights)) <= 1e-8
         assert K[0, 2] != 0.0
 
@@ -371,9 +388,8 @@ class TestFeedbackControl:
         assert u == pytest.approx(u_eq, abs=1e-12)
 
     def test_zero_gain_passes_equilibrium_through(self, rng):
-        gain = GainMatrix(K=np.zeros((4, 12)))
         u_eq = np.array([9.81, 0.0, 0.0, 0.0])
-        u = feedback_control(gain, rng.normal(size=12), np.zeros(12), u_eq)
+        u = feedback_control(np.zeros((4, 12)), rng.normal(size=12), np.zeros(12), u_eq)
         assert np.array_equal(u, u_eq)
 
     def test_altitude_error_raises_thrust(self, default_gain):
@@ -382,7 +398,7 @@ class TestFeedbackControl:
         reference[2] = 1.0
         u = feedback_control(default_gain, state, reference,
                              np.array([9.81, 0.0, 0.0, 0.0]))
-        assert u[0] - 9.81 == pytest.approx(default_gain.K[0, 2], rel=1e-12)
+        assert u[0] - 9.81 == pytest.approx(default_gain[0, 2], rel=1e-12)
         assert u[0] - 9.81 == pytest.approx(1.3077, abs=2e-4)
 
 

@@ -370,10 +370,7 @@ def main(argv=None) -> int:
         if args.command == "linearize":
             return cmd_linearize(config)
         return cmd_gain(config)
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (SchemaError, ValueError, riccati.NotStabilizable,
+    except (OSError, SchemaError, ValueError, riccati.NotStabilizable,
             riccati.NoConvergence) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -8,19 +8,24 @@ loops run once per ``outer_decimation`` steps at the correspondingly
 longer sample time, holding their angle setpoints in between.
 
 Discretization: rectangle-rule integral, backward-difference derivative
-on the error signal.  Controller memory is explicit and immutable;
-every step returns the successor memory.
+on the error signal.  Controller memory is one mutable record per
+cascade, which every step updates in place.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import model
 from .model import QuadrotorParams
+
+
+# Bound on the outer loops' angle setpoints (rad), to stay in the
+# small-angle regime.
+ANGLE_LIMIT = 0.5
 
 
 class ZeroIntegralTime(ValueError):
@@ -45,29 +50,21 @@ class PidGains:
                 raise ValueError(f"{name} must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass
 class PidState:
-    """Controller memory for one PID loop.
+    """Memory of one PID loop, updated in place by :func:`pid_step`.
 
-    A fresh (unprimed) state reports a zero derivative on its first
-    step because no previous error exists yet.  A primed state
-    (``initialized=True`` with ``previous_error=0``) behaves as if the
-    loop had been regulating at zero error before the first step, so a
-    reference step at t=0 passes through the derivative term.
+    A fresh state behaves as if the loop had been regulating at zero
+    error before the first step, so a reference step at t=0 passes
+    through the derivative term.
     """
 
     integral: float = 0.0
     previous_error: float = 0.0
-    initialized: bool = False
 
 
-def pid_step(
-    gains: PidGains,
-    state: PidState,
-    error: float,
-    dt: float,
-) -> tuple[float, PidState]:
-    """One discrete PID update; returns (output, successor state).
+def pid_step(gains: PidGains, state: PidState, error: float, dt: float) -> float:
+    """One discrete PID update of ``state``; returns the output.
 
     The accumulator only advances when ki is nonzero, so a pure P or PD
     loop stays memoryless apart from the stored previous error.
@@ -75,12 +72,10 @@ def pid_step(
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if gains.ki != 0.0:
-        integral = state.integral + error * dt
-    else:
-        integral = state.integral
-    derivative = (error - state.previous_error) / dt if state.initialized else 0.0
-    output = gains.kp * error + gains.ki * integral + gains.kd * derivative
-    return output, PidState(integral=integral, previous_error=error, initialized=True)
+        state.integral += error * dt
+    derivative = (error - state.previous_error) / dt
+    state.previous_error = error
+    return gains.kp * error + gains.ki * state.integral + gains.kd * derivative
 
 
 def gains_from_time_constants(kp: float, ti: float, td: float) -> PidGains:
@@ -98,8 +93,7 @@ class CascadeConfig:
     scenarios.  Roll and pitch share one inner/outer tuning; the outer
     loops carry negative gains under the error convention
     ``setpoint - actual``.  Outer-loop outputs are angle setpoints in
-    radians, clamped to ``angle_limit`` to stay in the small-angle
-    regime.
+    radians, clamped to ``ANGLE_LIMIT``.
     """
 
     thrust: PidGains = field(default_factory=lambda: PidGains(9.09, 1.94, 10.41))
@@ -110,13 +104,10 @@ class CascadeConfig:
     yaw: PidGains = field(default_factory=lambda: PidGains(1.3e-2, 7.6e-4, 4.9e-2))
     outer_decimation: int = 10
     gravity_feedforward: bool = True
-    angle_limit: float = 0.5
 
     def __post_init__(self) -> None:
         if self.outer_decimation < 1:
             raise ValueError("outer_decimation must be >= 1")
-        if self.angle_limit <= 0.0:
-            raise ValueError("angle_limit must be positive")
 
 
 @dataclass(frozen=True)
@@ -138,25 +129,23 @@ class Setpoints:
         return ref
 
 
-_PRIMED = PidState(integral=0.0, previous_error=0.0, initialized=True)
-
-
-@dataclass(frozen=True)
+@dataclass
 class CascadeMemory:
     """Memory of all six loops plus the held outer-loop setpoints.
 
-    Loops start primed at zero error: the cascade is assumed to have
-    been holding hover before t=0, so initial reference or state
-    offsets enter the derivative terms as genuine error steps (the
-    derivative kick a step command produces on PID hardware).
+    :func:`cascade_step` updates it in place.  Loops start at zero
+    error: the cascade is assumed to have been holding hover before
+    t=0, so initial reference or state offsets enter the derivative
+    terms as genuine error steps (the derivative kick a step command
+    produces on PID hardware).
     """
 
-    thrust: PidState = _PRIMED
-    roll_inner: PidState = _PRIMED
-    roll_outer: PidState = _PRIMED
-    pitch_inner: PidState = _PRIMED
-    pitch_outer: PidState = _PRIMED
-    yaw: PidState = _PRIMED
+    thrust: PidState = field(default_factory=PidState)
+    roll_inner: PidState = field(default_factory=PidState)
+    roll_outer: PidState = field(default_factory=PidState)
+    pitch_inner: PidState = field(default_factory=PidState)
+    pitch_outer: PidState = field(default_factory=PidState)
+    yaw: PidState = field(default_factory=PidState)
     step_count: int = 0
     phi_ref: float = 0.0
     theta_ref: float = 0.0
@@ -169,8 +158,8 @@ def cascade_step(
     memory: CascadeMemory,
     dt: float,
     params: QuadrotorParams,
-) -> tuple[np.ndarray, CascadeMemory]:
-    """One controller step; returns (u, successor memory).
+) -> np.ndarray:
+    """One controller step; updates ``memory`` in place and returns u.
 
     u1 combines the gravity feedforward m*g with the thrust loop on the
     altitude error.  The outer loops turn position errors into angle
@@ -183,40 +172,21 @@ def cascade_step(
         raise ValueError(f"dt must be positive, got {dt}")
     s = np.asarray(state, dtype=float)
 
-    phi_ref = memory.phi_ref
-    theta_ref = memory.theta_ref
-    roll_outer = memory.roll_outer
-    pitch_outer = memory.pitch_outer
     if memory.step_count % config.outer_decimation == 0:
         outer_dt = dt * config.outer_decimation
-        limit = config.angle_limit
-        raw_phi, roll_outer = pid_step(
-            config.roll_outer, roll_outer, references.y_ref - s[model.Y], outer_dt)
-        raw_theta, pitch_outer = pid_step(
-            config.pitch_outer, pitch_outer, s[model.X] - references.x_ref, outer_dt)
-        phi_ref = max(-limit, min(limit, raw_phi))
-        theta_ref = max(-limit, min(limit, raw_theta))
+        raw_phi = pid_step(config.roll_outer, memory.roll_outer,
+                           references.y_ref - s[model.Y], outer_dt)
+        raw_theta = pid_step(config.pitch_outer, memory.pitch_outer,
+                             s[model.X] - references.x_ref, outer_dt)
+        memory.phi_ref = max(-ANGLE_LIMIT, min(ANGLE_LIMIT, raw_phi))
+        memory.theta_ref = max(-ANGLE_LIMIT, min(ANGLE_LIMIT, raw_theta))
+    memory.step_count += 1
 
     thrust_ff = params.hover_thrust if config.gravity_feedforward else 0.0
-    u1, thrust = pid_step(config.thrust, memory.thrust,
-                          references.z_ref - s[model.Z], dt)
-    u2, roll_inner = pid_step(config.roll_inner, memory.roll_inner,
-                              phi_ref - s[model.PHI], dt)
-    u3, pitch_inner = pid_step(config.pitch_inner, memory.pitch_inner,
-                               theta_ref - s[model.THETA], dt)
-    u4, yaw = pid_step(config.yaw, memory.yaw,
-                       references.psi_ref - s[model.PSI], dt)
-
-    new_memory = replace(
-        memory,
-        thrust=thrust,
-        roll_inner=roll_inner,
-        roll_outer=roll_outer,
-        pitch_inner=pitch_inner,
-        pitch_outer=pitch_outer,
-        yaw=yaw,
-        step_count=memory.step_count + 1,
-        phi_ref=phi_ref,
-        theta_ref=theta_ref,
-    )
-    return np.array([thrust_ff + u1, u2, u3, u4]), new_memory
+    u1 = pid_step(config.thrust, memory.thrust, references.z_ref - s[model.Z], dt)
+    u2 = pid_step(config.roll_inner, memory.roll_inner,
+                  memory.phi_ref - s[model.PHI], dt)
+    u3 = pid_step(config.pitch_inner, memory.pitch_inner,
+                  memory.theta_ref - s[model.THETA], dt)
+    u4 = pid_step(config.yaw, memory.yaw, references.psi_ref - s[model.PSI], dt)
+    return np.array([thrust_ff + u1, u2, u3, u4])

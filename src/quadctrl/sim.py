@@ -53,7 +53,6 @@ class ChannelUnknown(ValueError):
 class Scenario:
     """One closed-loop run: initial state, references, grid, plant mode."""
 
-    case_id: int
     initial_state: np.ndarray
     references: Setpoints
     duration: float = DEFAULT_DURATION
@@ -175,7 +174,7 @@ def scenario_case(case_id: int, **overrides) -> Scenario:
     else:
         raise UnknownCase(f"case_id must be 1, 2 or 3, got {case_id!r}")
     base.update(overrides)
-    return Scenario(case_id=case_id, **base)
+    return Scenario(**base)
 
 
 class LqrController:
@@ -195,7 +194,7 @@ class LqrController:
 
 
 class PidCascadeController:
-    """Cascaded PID wrapper that threads its memory between steps."""
+    """Cascaded PID wrapper that owns the cascade's memory between steps."""
 
     def __init__(self, config: CascadeConfig, params: QuadrotorParams):
         self.config = config
@@ -206,9 +205,8 @@ class PidCascadeController:
         self._memory = CascadeMemory()
 
     def control(self, state: np.ndarray, references: Setpoints, dt: float) -> np.ndarray:
-        u, self._memory = cascade_step(
+        return cascade_step(
             self.config, state, references, self._memory, dt, self.params)
-        return u
 
 
 def run_closed_loop(scenario: Scenario, controller, params: QuadrotorParams) -> Trajectory:

@@ -21,6 +21,7 @@ from quadctrl.cli import (
     parse_config,
     trajectory_csv,
 )
+from quadctrl.pid import Setpoints
 from quadctrl.sim import CASE2_INITIAL_STATE, scenario_case
 
 FAST_SIM = {"sim": {"dt": 0.01, "t_final": 2.0}}
@@ -33,8 +34,8 @@ class TestParseConfig:
         assert config.params.thrust_factor == 9.8e-6
         assert config.cascade.thrust.kp == 9.09
         assert np.array_equal(np.diag(config.weights.R), [1.0, 0.001, 0.001, 0.001])
-        assert config.scenario.case_id == 1
-        assert config.scenario.references.z_ref == 1.0
+        assert config.scenario.references == Setpoints(z_ref=1.0)
+        assert np.array_equal(config.scenario.initial_state, np.zeros(12))
 
     def test_negative_mass_rejected_with_path(self):
         with pytest.raises(ValueError, match="params"):
@@ -57,11 +58,13 @@ class TestParseConfig:
             parse_config("{not json")
 
     def test_case_overrides(self):
+        stock = parse_config('{"case": {"id": 3}}').scenario
+        assert stock.references == Setpoints(z_ref=1.0, psi_ref=0.5)
+        assert np.array_equal(stock.initial_state, np.zeros(12))
         config = parse_config(json.dumps({
             "case": {"id": 3, "psi_ref": 0.25,
                      "x0": [0, 0, 0.1, 0, 0, 0, 0, 0, 0, 0, 0, 0]},
         }))
-        assert config.scenario.case_id == 3
         assert config.scenario.references.psi_ref == 0.25
         assert config.scenario.references.z_ref == 1.0
         assert config.scenario.initial_state[2] == 0.1

@@ -8,6 +8,7 @@ releases may round the last bits differently.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -18,6 +19,16 @@ GOLDEN = {
     "linearize": "2e962595ef93f8ffdee650f48caa0ffda1de615be252f400acd84d69d9874423",
     "trajectory.csv": "bb9f33d458dbd0368505bd59d4f11b11da4fbd049a528c936e3fe94102a295a2",
     "metrics.json": "cec6b7a795370da457a80b1a231ed433a4354701d64243422af73bbf01c04e2c",
+    "comparison.json": "399d5f7ac6c408af784af5a407838b922b55be35e61ffc7aae73a524e205394c",
+}
+
+# A linear-plant PID run that exercises the outer loops and the angle
+# clamp (|theta| peaks at 0.548) without libm trig of nonzero angles.
+PID_CONFIG = {"sim": {"plant": "linear", "t_final": 2.0},
+              "case": {"id": 3, "x_ref": 1.0, "y_ref": -1.0}}
+PID_GOLDEN = {
+    "trajectory.csv": "2f5a8a1ce1be9784058b3671f19c692338487ac50959bbdb6332378f86850a40",
+    "metrics.json": "8288b524e75bf1786bb54542b12347ca06214e5dadb1641e48b0ea9f16ddee97",
 }
 
 
@@ -35,3 +46,19 @@ def test_case1_lqr_run(tmp_path):
     assert main(["run", "--controller", "lqr", "--out", str(tmp_path)]) == 0
     for name in ("trajectory.csv", "metrics.json"):
         assert sha256((tmp_path / name).read_bytes()) == GOLDEN[name], name
+
+
+def test_stock_compare(tmp_path):
+    assert main(["compare", "--out", str(tmp_path)]) == 0
+    digest = sha256((tmp_path / "comparison.json").read_bytes())
+    assert digest == GOLDEN["comparison.json"]
+
+
+def test_linear_pid_run_with_outer_loops(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(PID_CONFIG), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "run", "--controller", "pid",
+                 "--out", str(out)]) == 0
+    for name, digest in PID_GOLDEN.items():
+        assert sha256((out / name).read_bytes()) == digest, name

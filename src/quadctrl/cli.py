@@ -218,12 +218,8 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def _matrix_csv(matrix: np.ndarray) -> str:
-    return "\n".join(",".join(_fmt(v) for v in row) for row in matrix)
+    return "\n".join(",".join(f"{v:.17g}" for v in row) for row in matrix)
 
 
 def make_controller(config: RunConfig, name: str):
@@ -237,11 +233,13 @@ def make_controller(config: RunConfig, name: str):
 
 
 def trajectory_csv(trajectory: Trajectory) -> str:
+    # box one row at a time; the empty last row ends the text with "\n"
+    row = ",".join(["%.17g"] * (1 + model.STATE_DIM + model.INPUT_DIM))
     rows = [TRAJECTORY_HEADER]
-    for t, state, u in zip(trajectory.times, trajectory.states, trajectory.controls):
-        values = [t, *state, *u]
-        rows.append(",".join(_fmt(v) for v in values))
-    return "\n".join(rows) + "\n"
+    rows.extend(row % (t, *state.tolist(), *u.tolist()) for t, state, u in zip(
+        trajectory.times.tolist(), trajectory.states, trajectory.controls))
+    rows.append("")
+    return "\n".join(rows)
 
 
 def metrics_report(trajectory: Trajectory, references: Setpoints) -> dict:

@@ -101,7 +101,7 @@ def numeric_jacobians(
         bump[j] = eps
         fp = model.dynamics(state0 + bump, u0, params)
         fm = model.dynamics(state0 - bump, u0, params)
-        A[:, j] = (fp - fm) / (2.0 * eps)
+        A[:, j] = np.subtract(fp, fm) / (2.0 * eps)
 
     B = np.zeros((model.STATE_DIM, model.INPUT_DIM))
     for j in range(model.INPUT_DIM):
@@ -109,7 +109,7 @@ def numeric_jacobians(
         bump[j] = eps
         fp = model.dynamics(state0, u0 + bump, params)
         fm = model.dynamics(state0, u0 - bump, params)
-        B[:, j] = (fp - fm) / (2.0 * eps)
+        B[:, j] = np.subtract(fp, fm) / (2.0 * eps)
 
     return A, B
 

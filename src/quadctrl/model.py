@@ -17,6 +17,9 @@ attitude kinematics use the small-angle identification phidot = p,
 thetadot = q, psidot = r, which is the regime every controller in this
 package is designed for.  theta must stay inside (-pi/2, pi/2) or the
 thrust projection degenerates.
+
+:func:`dynamics` and :func:`normalize_state` take float sequences and
+return lists of Python floats, the form the simulator steps its state in.
 """
 
 from __future__ import annotations
@@ -148,33 +151,27 @@ def rotor_unmix(u: np.ndarray, params: QuadrotorParams) -> np.ndarray:
     return np.sqrt(np.clip(w, 0.0, None))
 
 
-def dynamics(state: np.ndarray, u: np.ndarray, params: QuadrotorParams) -> np.ndarray:
-    """Time derivative of the 12-state vector under inputs u1..u4."""
-    s = np.asarray(state, dtype=float)
-    phi = float(s[PHI])
-    theta = float(s[THETA])
-    psi = float(s[PSI])
-    p = float(s[P])
-    q = float(s[Q])
-    r = float(s[R])
+def dynamics(state, u, params: QuadrotorParams) -> list:
+    """Time derivative of the 12-state vector under inputs u1..u4, as a list."""
+    _, _, _, phi, theta, psi, xdot, ydot, zdot, p, q, r = state
 
     sph, cph = math.sin(phi), math.cos(phi)
     sth, cth = math.sin(theta), math.cos(theta)
     sps, cps = math.sin(psi), math.cos(psi)
 
-    accel = float(u[0]) / params.mass
+    accel = u[0] / params.mass
 
-    return np.array([
-        s[XDOT], s[YDOT], s[ZDOT],
+    return [
+        xdot, ydot, zdot,
         p, q, r,
         (cph * sth * cps + sph * sps) * accel,
         (cph * sth * sps - sph * cps) * accel,
         cph * cth * accel - params.gravity,
-        ((params.inertia_yy - params.inertia_zz) * q * r + float(u[1])) / params.inertia_xx,
-        ((params.inertia_zz - params.inertia_xx) * p * r + float(u[2])) / params.inertia_yy,
+        ((params.inertia_yy - params.inertia_zz) * q * r + u[1]) / params.inertia_xx,
+        ((params.inertia_zz - params.inertia_xx) * p * r + u[2]) / params.inertia_yy,
         ((params.inertia_xx - params.inertia_yy) * p * q
-         + float(u[3])) / params.inertia_zz,
-    ])
+         + u[3]) / params.inertia_zz,
+    ]
 
 
 def hover_equilibrium(
@@ -197,14 +194,14 @@ def wrap_angle(angle: float) -> float:
     return (angle + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def normalize_state(state: np.ndarray) -> np.ndarray:
-    """Return a copy with phi and psi wrapped into [-pi, pi).
+def normalize_state(state) -> list:
+    """Return a list copy with phi and psi wrapped into [-pi, pi).
 
     theta is left untouched: its domain is the open interval
     (-pi/2, pi/2) and exceeding it is an error condition for the caller
     to handle, not something to wrap away silently.
     """
-    out = np.array(state, dtype=float)
-    out[PHI] = wrap_angle(float(out[PHI]))
-    out[PSI] = wrap_angle(float(out[PSI]))
+    out = list(state)
+    out[PHI] = wrap_angle(out[PHI])
+    out[PSI] = wrap_angle(out[PSI])
     return out

@@ -6,6 +6,10 @@ full nonlinear dynamics or the hover-linearized model, and extracts the
 stability metrics used to compare controllers: steady state, overshoot,
 settling time and the count of overshoot peaks outside the settling
 band.
+
+Between steps the state is a list of 12 Python floats: :func:`rk4_step`
+and the nonlinear plant take and return float sequences, evaluated in
+the same order as array arithmetic, so the bits match an ndarray run.
 """
 
 from __future__ import annotations
@@ -128,25 +132,26 @@ class Metrics:
     settled: bool
 
 
-def rk4_step(derivative_fn, state: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
+def rk4_step(derivative_fn, state, u, dt: float) -> list:
     """Classical fourth-order Runge-Kutta update with u held constant.
 
-    Raises :class:`NonFiniteState` as soon as the update produces a
-    non-finite component.
+    Steps a float sequence to a new list of floats; raises
+    :class:`NonFiniteState` as soon as a component becomes non-finite.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
+    half, sixth = 0.5 * dt, dt / 6.0
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            k1 = derivative_fn(state, u)
-            k2 = derivative_fn(state + (0.5 * dt) * k1, u)
-            k3 = derivative_fn(state + (0.5 * dt) * k2, u)
-            k4 = derivative_fn(state + dt * k3, u)
-            new_state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = derivative_fn(state, u)
+        k2 = derivative_fn([s + half * k for s, k in zip(state, k1)], u)
+        k3 = derivative_fn([s + half * k for s, k in zip(state, k2)], u)
+        k4 = derivative_fn([s + dt * k for s, k in zip(state, k3)], u)
+        new_state = [s + sixth * (a + 2.0 * b + 2.0 * c + d)
+                     for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
     except (ValueError, OverflowError) as exc:
         # math.sin/cos raise on inf/nan rather than propagating it
         raise NonFiniteState(f"state became non-finite during an RK4 stage: {exc}") from exc
-    if not np.all(np.isfinite(new_state)):
+    if not all(map(math.isfinite, new_state)):
         raise NonFiniteState("state became non-finite after an RK4 step")
     return new_state
 
@@ -228,24 +233,24 @@ def run_closed_loop(scenario: Scenario, controller, params: QuadrotorParams) -> 
         _, u_eq, _ = model.hover_equilibrium(params)
 
         def derivative(s, u):
-            return ss.A @ s + ss.B @ (u - u_eq)
+            return (ss.A @ np.asarray(s) + ss.B @ (np.asarray(u) - u_eq)).tolist()
     else:
         def derivative(s, u):
             return model.dynamics(s, u, params)
 
     controller.reset()
-    state = scenario.initial_state.copy()
+    state = scenario.initial_state.tolist()
     states[0] = state
     nonlinear = scenario.plant_mode == "nonlinear"
     for i in range(n_steps):
-        u = controller.control(state, scenario.references, scenario.dt)
+        u = controller.control(state, scenario.references, scenario.dt).tolist()
         controls[i] = u
         state = rk4_step(derivative, state, u, scenario.dt)
         if nonlinear:
             state = model.normalize_state(state)
-            if abs(float(state[model.THETA])) >= model.THETA_LIMIT:
+            if abs(state[model.THETA]) >= model.THETA_LIMIT:
                 raise ThetaOutOfRange(
-                    f"|theta| reached {abs(float(state[model.THETA])):.4f} rad "
+                    f"|theta| reached {abs(state[model.THETA]):.4f} rad "
                     f"at t={times[i + 1]:.4f} s"
                 )
         states[i + 1] = state

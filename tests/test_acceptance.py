@@ -188,8 +188,8 @@ def test_criterion_5_integrator_accuracy(bench_params):
             return s
 
         reference = integrate(1e-4)
-        err_coarse = np.linalg.norm(integrate(0.02) - reference)
-        err_fine = np.linalg.norm(integrate(0.01) - reference)
+        err_coarse = np.linalg.norm(np.subtract(integrate(0.02), reference))
+        err_fine = np.linalg.norm(np.subtract(integrate(0.01), reference))
         assert err_coarse / err_fine >= 8.0
 
 

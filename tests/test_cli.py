@@ -136,6 +136,16 @@ class TestCmdRun:
         assert "diverged" in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()
 
+    def test_sampled_loop_divergence_message(self, tmp_path, capsys):
+        # the continuous LQR on case 2 at the stock 1 ms grid: the
+        # sampled loop is unstable and theta leaves range in two steps
+        config = parse_config(json.dumps({"case": {"id": 2}}))
+        assert cmd_run(config, "lqr", tmp_path) == 2
+        assert capsys.readouterr().err == (
+            "simulation diverged: ThetaOutOfRange: "
+            "|theta| reached 11.3032 rad at t=0.0020 s\n")
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_pid_run(self, tmp_path):
         config = parse_config(json.dumps(FAST_SIM))
         assert cmd_run(config, "pid", tmp_path) == 0

@@ -23,6 +23,8 @@ from quadctrl import (
     scenario_case,
     solve_care,
 )
+from quadctrl.model import PHI, PSI, THETA, wrap_angle
+from quadctrl.pid import ANGLE_LIMIT
 from quadctrl.sim import UnknownCase
 
 ZERO_GAINS = PidGains(kp=0.0, ki=0.0, kd=0.0)
@@ -61,7 +63,7 @@ class TestRk4Step:
 
     def test_exponential_decay_fourth_order_accurate(self):
         state = np.array([1.0])
-        deriv = lambda s, u: -s
+        deriv = lambda s, u: [-v for v in s]
         for _ in range(1000):
             state = rk4_step(deriv, state, None, 0.001)
         assert state[0] == pytest.approx(math.exp(-1.0), abs=1e-10)
@@ -81,13 +83,13 @@ class TestRk4Step:
             return state
 
         reference = integrate(1e-4)
-        err_coarse = np.linalg.norm(integrate(0.02) - reference)
-        err_fine = np.linalg.norm(integrate(0.01) - reference)
+        err_coarse = np.linalg.norm(np.subtract(integrate(0.02), reference))
+        err_fine = np.linalg.norm(np.subtract(integrate(0.01), reference))
         assert err_coarse / err_fine >= 8.0
 
     def test_divergence_raises(self):
-        deriv = lambda s, u: s * s * 1e3
-        state = np.array([1.0])
+        deriv = lambda s, u: [v * v * 1e3 for v in s]
+        state = [1.0]
         with pytest.raises(NonFiniteState):
             for _ in range(10000):
                 state = rk4_step(deriv, state, None, 0.1)
@@ -95,6 +97,110 @@ class TestRk4Step:
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError, match="dt"):
             rk4_step(lambda s, u: s, np.zeros(2), None, 0.0)
+
+    def test_float_overflow_raises(self):
+        # a Python float product overflows to inf without raising, so
+        # only the finiteness check can catch it
+        deriv = lambda s, u: [v * 1e10 for v in s]
+        with pytest.raises(NonFiniteState, match="after an RK4 step"):
+            rk4_step(deriv, [1e300], None, 1.0)
+
+    def test_stage_reaching_sin_of_inf_raises(self, params):
+        # the second stage puts phi at 0.5 * 10 * 1e308 = inf, where
+        # math.sin raises instead of returning nan
+        state = [0.0] * 12
+        state[9] = 1e308
+        deriv = lambda s, u: dynamics(s, u, params)
+        with pytest.raises(NonFiniteState, match="during an RK4 stage"):
+            rk4_step(deriv, state, [9.81, 0.0, 0.0, 0.0], 10.0)
+
+
+# The ndarray dynamics, RK4 update and angle wrap that the simulator
+# ran before its state became a list of Python floats.  The float path
+# must reproduce them bit for bit: same expressions, same order.
+def ndarray_dynamics(state, u, params):
+    s = np.asarray(state, dtype=float)
+    phi = float(s[PHI])
+    theta = float(s[THETA])
+    psi = float(s[PSI])
+    p = float(s[9])
+    q = float(s[10])
+    r = float(s[11])
+
+    sph, cph = math.sin(phi), math.cos(phi)
+    sth, cth = math.sin(theta), math.cos(theta)
+    sps, cps = math.sin(psi), math.cos(psi)
+
+    accel = float(u[0]) / params.mass
+
+    return np.array([
+        s[6], s[7], s[8],
+        p, q, r,
+        (cph * sth * cps + sph * sps) * accel,
+        (cph * sth * sps - sph * cps) * accel,
+        cph * cth * accel - params.gravity,
+        ((params.inertia_yy - params.inertia_zz) * q * r + float(u[1])) / params.inertia_xx,
+        ((params.inertia_zz - params.inertia_xx) * p * r + float(u[2])) / params.inertia_yy,
+        ((params.inertia_xx - params.inertia_yy) * p * q
+         + float(u[3])) / params.inertia_zz,
+    ])
+
+
+def ndarray_rk4_step(derivative_fn, state, u, dt):
+    k1 = derivative_fn(state, u)
+    k2 = derivative_fn(state + (0.5 * dt) * k1, u)
+    k3 = derivative_fn(state + (0.5 * dt) * k2, u)
+    k4 = derivative_fn(state + dt * k3, u)
+    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def ndarray_run(scenario, controller, params):
+    n = scenario.sample_count
+    states = np.empty((n, 12))
+    controls = np.empty((n, 4))
+    deriv = lambda s, u: ndarray_dynamics(s, u, params)
+    controller.reset()
+    state = scenario.initial_state.copy()
+    states[0] = state
+    for i in range(n - 1):
+        u = controller.control(state, scenario.references, scenario.dt)
+        controls[i] = u
+        state = ndarray_rk4_step(deriv, state, u, scenario.dt)
+        state[PHI] = wrap_angle(float(state[PHI]))
+        state[PSI] = wrap_angle(float(state[PSI]))
+        states[i + 1] = state
+    controls[n - 1] = controller.control(state, scenario.references, scenario.dt)
+    return states, controls
+
+
+class ClampWatchingPid(PidCascadeController):
+    """Records the largest held roll/pitch setpoint the cascade issued."""
+
+    largest_angle_ref = 0.0
+
+    def control(self, state, references, dt):
+        u = super().control(state, references, dt)
+        memory = self._memory
+        self.largest_angle_ref = max(self.largest_angle_ref,
+                                     abs(memory.phi_ref), abs(memory.theta_ref))
+        return u
+
+
+class TestFloatPathOracle:
+    def test_nonlinear_pid_run_matches_ndarray_path_bit_for_bit(self, params):
+        # lateral steps drive the outer loops into the angle clamp, so
+        # every trig argument is nonzero
+        sc = scenario_case(3, duration=2.0, dt=0.001,
+                           references=Setpoints(z_ref=1.0, x_ref=1.0, y_ref=-1.0,
+                                                psi_ref=0.5))
+        reference = ClampWatchingPid(CascadeConfig(), params)
+        states, controls = ndarray_run(sc, reference, params)
+        trajectory = run_closed_loop(sc, PidCascadeController(CascadeConfig(), params),
+                                     params)
+        assert reference.largest_angle_ref == ANGLE_LIMIT
+        assert np.all(np.abs(states[:, [PHI, THETA, PSI]]).max(axis=0) > 0.1)
+        assert np.array_equal(trajectory.states, states)
+        assert np.array_equal(trajectory.controls, controls)
 
 
 class TestScenarioCase:

@@ -22,7 +22,6 @@ from .pid import (
     PidState,
     Setpoints,
     cascade_step,
-    gains_from_time_constants,
     pid_step,
 )
 from .riccati import (
@@ -81,7 +80,6 @@ __all__ = [
     "dynamics",
     "evaluate_cost",
     "feedback_control",
-    "gains_from_time_constants",
     "hover_equilibrium",
     "hover_jacobians",
     "lqr_gain",

@@ -31,6 +31,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -49,6 +50,10 @@ from .sim import (
 )
 
 TRAJECTORY_HEADER = "t,x,y,z,phi,theta,psi,xdot,ydot,zdot,p,q,r,u1,u2,u3,u4"
+# Rows of trajectory.csv converted and written at a time: one block's
+# floats and text stay small, where the whole table cost megabytes of
+# peak memory.
+CSV_BLOCK = 1024
 
 _PARAM_KEYS = {
     "m": "mass", "ixx": "inertia_xx", "iyy": "inertia_yy", "izz": "inertia_zz",
@@ -232,14 +237,21 @@ def make_controller(config: RunConfig, name: str):
     raise ValueError(f"controller must be 'pid' or 'lqr', got {name!r}")
 
 
-def trajectory_csv(trajectory: Trajectory) -> str:
-    # box one row at a time; the empty last row ends the text with "\n"
-    row = ",".join(["%.17g"] * (1 + model.STATE_DIM + model.INPUT_DIM))
-    rows = [TRAJECTORY_HEADER]
-    rows.extend(row % (t, *state.tolist(), *u.tolist()) for t, state, u in zip(
-        trajectory.times.tolist(), trajectory.states, trajectory.controls))
-    rows.append("")
-    return "\n".join(rows)
+def trajectory_csv(trajectory: Trajectory, stream: TextIO) -> None:
+    """Write ``trajectory`` to the text ``stream`` as CSV.
+
+    The header, then one line per sample: t, the 12 states and the 4
+    inputs, each with 17 significant digits, every line ending in "\n".
+    Rows are converted to floats and written ``CSV_BLOCK`` at a time,
+    so neither the whole table nor the whole text is held in memory.
+    """
+    row = ",".join(["%.17g"] * (1 + model.STATE_DIM + model.INPUT_DIM)) + "\n"
+    stream.write(TRAJECTORY_HEADER + "\n")
+    for start in range(0, trajectory.times.shape[0], CSV_BLOCK):
+        block = slice(start, start + CSV_BLOCK)
+        stream.write("".join(row % (t, *state, *u) for t, state, u in zip(
+            trajectory.times[block].tolist(), trajectory.states[block].tolist(),
+            trajectory.controls[block].tolist())))
 
 
 def metrics_report(trajectory: Trajectory, references: Setpoints) -> dict:
@@ -288,8 +300,8 @@ def cmd_run(config: RunConfig, controller_name: str, out_dir) -> int:
         print(f"simulation diverged: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     out.mkdir(parents=True, exist_ok=True)
-    (out / "trajectory.csv").write_text(trajectory_csv(trajectory),
-                                        encoding="utf-8", newline="\n")
+    with (out / "trajectory.csv").open("w", encoding="utf-8", newline="\n") as stream:
+        trajectory_csv(trajectory, stream)
     _write_json(out / "metrics.json",
                 metrics_report(trajectory, config.scenario.references))
     return 0

@@ -9,12 +9,14 @@ longer sample time, holding their angle setpoints in between.
 
 Discretization: rectangle-rule integral, backward-difference derivative
 on the error signal.  Controller memory is one mutable record per
-cascade, which every step updates in place.
+cascade, which every step updates in place.  The cascade works on
+Python floats: it indexes the state sequence and returns u as a list.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,10 +28,6 @@ from .model import QuadrotorParams
 # Bound on the outer loops' angle setpoints (rad), to stay in the
 # small-angle regime.
 ANGLE_LIMIT = 0.5
-
-
-class ZeroIntegralTime(ValueError):
-    """Integral time constant of zero cannot be converted to a gain."""
 
 
 @dataclass(frozen=True)
@@ -76,13 +74,6 @@ def pid_step(gains: PidGains, state: PidState, error: float, dt: float) -> float
     derivative = (error - state.previous_error) / dt
     state.previous_error = error
     return gains.kp * error + gains.ki * state.integral + gains.kd * derivative
-
-
-def gains_from_time_constants(kp: float, ti: float, td: float) -> PidGains:
-    """Build gains from time constants: ki = kp/ti, kd = kp*td."""
-    if ti == 0.0:
-        raise ZeroIntegralTime("integral time constant must be nonzero")
-    return PidGains(kp=kp, ki=kp / ti, kd=kp * td)
 
 
 @dataclass(frozen=True)
@@ -153,40 +144,41 @@ class CascadeMemory:
 
 def cascade_step(
     config: CascadeConfig,
-    state: np.ndarray,
+    state: Sequence[float],
     references: Setpoints,
     memory: CascadeMemory,
     dt: float,
     params: QuadrotorParams,
-) -> np.ndarray:
+) -> list[float]:
     """One controller step; updates ``memory`` in place and returns u.
 
-    u1 combines the gravity feedforward m*g with the thrust loop on the
-    altitude error.  The outer loops turn position errors into angle
-    setpoints: a positive y error demands negative roll (lateral
-    acceleration is -g*phi) while a positive x error demands positive
-    pitch (+g*theta), so the pitch outer loop consumes the negated
-    error to keep one shared gain sign for both axes.
+    ``state`` is indexed directly, so the simulator's list of 12 floats
+    needs no conversion; u is a list of 4 floats.  u1 combines the
+    gravity feedforward m*g with the thrust loop on the altitude error.
+    The outer loops turn position errors into angle setpoints: a
+    positive y error demands negative roll (lateral acceleration is
+    -g*phi) while a positive x error demands positive pitch (+g*theta),
+    so the pitch outer loop consumes the negated error to keep one
+    shared gain sign for both axes.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    s = np.asarray(state, dtype=float)
 
     if memory.step_count % config.outer_decimation == 0:
         outer_dt = dt * config.outer_decimation
         raw_phi = pid_step(config.roll_outer, memory.roll_outer,
-                           references.y_ref - s[model.Y], outer_dt)
+                           references.y_ref - state[model.Y], outer_dt)
         raw_theta = pid_step(config.pitch_outer, memory.pitch_outer,
-                             s[model.X] - references.x_ref, outer_dt)
+                             state[model.X] - references.x_ref, outer_dt)
         memory.phi_ref = max(-ANGLE_LIMIT, min(ANGLE_LIMIT, raw_phi))
         memory.theta_ref = max(-ANGLE_LIMIT, min(ANGLE_LIMIT, raw_theta))
     memory.step_count += 1
 
     thrust_ff = params.hover_thrust if config.gravity_feedforward else 0.0
-    u1 = pid_step(config.thrust, memory.thrust, references.z_ref - s[model.Z], dt)
+    u1 = pid_step(config.thrust, memory.thrust, references.z_ref - state[model.Z], dt)
     u2 = pid_step(config.roll_inner, memory.roll_inner,
-                  memory.phi_ref - s[model.PHI], dt)
+                  memory.phi_ref - state[model.PHI], dt)
     u3 = pid_step(config.pitch_inner, memory.pitch_inner,
-                  memory.theta_ref - s[model.THETA], dt)
-    u4 = pid_step(config.yaw, memory.yaw, references.psi_ref - s[model.PSI], dt)
-    return np.array([thrust_ff + u1, u2, u3, u4])
+                  memory.theta_ref - state[model.THETA], dt)
+    u4 = pid_step(config.yaw, memory.yaw, references.psi_ref - state[model.PSI], dt)
+    return [thrust_ff + u1, u2, u3, u4]

@@ -34,6 +34,7 @@ up to n of about 20.  An eigenvector-based solver on the associated
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -394,13 +395,17 @@ def _undetectable_states(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 def feedback_control(
     K: np.ndarray,
-    state: np.ndarray,
+    state: Sequence[float],
     reference: np.ndarray,
     u_equilibrium: np.ndarray,
 ) -> np.ndarray:
-    """Control law u = u_eq - K (state - reference)."""
-    deviation = np.asarray(state, dtype=float) - np.asarray(reference, dtype=float)
-    return np.asarray(u_equilibrium, dtype=float) - K @ deviation
+    """Control law u = u_eq - K (state - reference).
+
+    ``state`` may be any float sequence; ``reference`` and
+    ``u_equilibrium`` are float arrays.  ``K @`` stays a BLAS matvec: a
+    Python dot product sums in another order and moves the last bits.
+    """
+    return u_equilibrium - K @ np.subtract(state, reference)
 
 
 def evaluate_cost(

@@ -7,14 +7,18 @@ stability metrics used to compare controllers: steady state, overshoot,
 settling time and the count of overshoot peaks outside the settling
 band.
 
-Between steps the state is a list of 12 Python floats: :func:`rk4_step`
-and the nonlinear plant take and return float sequences, evaluated in
-the same order as array arithmetic, so the bits match an ndarray run.
+Between steps the state is a list of 12 Python floats: :func:`rk4_step`,
+the nonlinear plant and both controllers take float sequences and
+return lists.  The scalar code evaluates in the same order as array
+arithmetic and the LQR keeps its BLAS matvec, so the bits match an
+ndarray run.  A controller is any object with ``reset()`` and
+``control(state, references, dt)`` returning u as a list of 4 floats.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,19 +187,31 @@ def scenario_case(case_id: int, **overrides) -> Scenario:
 
 
 class LqrController:
-    """Full-state feedback u = u_hover - K (x - x_ref); stateless."""
+    """Full-state feedback u = u_hover - K (x - x_ref), memoryless.
+
+    x_ref is built once per :class:`Setpoints` object (they are
+    frozen), not once per step.
+    """
 
     def __init__(self, K: np.ndarray, params: QuadrotorParams):
         self.K = np.asarray(K, dtype=float)
         _, self.u_equilibrium, _ = model.hover_equilibrium(params)
+        # (Setpoints, its reference state), replaced whole so that runs
+        # sharing this controller never pair one with the other's x_ref
+        self._x_ref = (None, None)
 
     def reset(self) -> None:
         pass
 
-    def control(self, state: np.ndarray, references: Setpoints, dt: float) -> np.ndarray:
+    def control(self, state: Sequence[float], references: Setpoints,
+                dt: float) -> list[float]:
         del dt
+        cached, x_ref = self._x_ref
+        if cached is not references:
+            x_ref = references.reference_state()
+            self._x_ref = (references, x_ref)
         return riccati.feedback_control(
-            self.K, state, references.reference_state(), self.u_equilibrium)
+            self.K, state, x_ref, self.u_equilibrium).tolist()
 
 
 class PidCascadeController:
@@ -209,7 +225,8 @@ class PidCascadeController:
     def reset(self) -> None:
         self._memory = CascadeMemory()
 
-    def control(self, state: np.ndarray, references: Setpoints, dt: float) -> np.ndarray:
+    def control(self, state: Sequence[float], references: Setpoints,
+                dt: float) -> list[float]:
         return cascade_step(
             self.config, state, references, self._memory, dt, self.params)
 
@@ -243,7 +260,7 @@ def run_closed_loop(scenario: Scenario, controller, params: QuadrotorParams) -> 
     states[0] = state
     nonlinear = scenario.plant_mode == "nonlinear"
     for i in range(n_steps):
-        u = controller.control(state, scenario.references, scenario.dt).tolist()
+        u = controller.control(state, scenario.references, scenario.dt)
         controls[i] = u
         state = rk4_step(derivative, state, u, scenario.dt)
         if nonlinear:

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from quadctrl.cli import (
+    CSV_BLOCK,
+    TRAJECTORY_HEADER,
     SchemaError,
     cmd_compare,
     cmd_gain,
@@ -22,7 +24,7 @@ from quadctrl.cli import (
     trajectory_csv,
 )
 from quadctrl.pid import Setpoints
-from quadctrl.sim import CASE2_INITIAL_STATE, scenario_case
+from quadctrl.sim import CASE2_INITIAL_STATE, Trajectory, scenario_case
 
 FAST_SIM = {"sim": {"dt": 0.01, "t_final": 2.0}}
 
@@ -246,10 +248,31 @@ class TestMainEntry:
         from quadctrl import LqrController, run_closed_loop
         sc = scenario_case(1, duration=1.0, dt=0.01)
         trajectory = run_closed_loop(sc, LqrController(default_gain, params), params)
-        text = trajectory_csv(trajectory)
+        stream = io.StringIO()
+        trajectory_csv(trajectory, stream)
+        text = stream.getvalue()
         assert "\r" not in text
         z_column = text.splitlines()[-1].split(",")[3]
         assert float(z_column) == trajectory.states[-1, 2]
+
+
+class TestTrajectoryCsvBlocks:
+    @pytest.mark.parametrize("rows", [1, CSV_BLOCK, CSV_BLOCK + 1, 2 * CSV_BLOCK + 3])
+    def test_streamed_text_equals_joined_rows(self, rows):
+        rng = np.random.default_rng(rows)
+        times = np.arange(rows) * 1e-3
+        states = rng.normal(size=(rows, 12)) * 10.0 ** rng.integers(-5, 5, size=(rows, 12))
+        controls = -np.abs(rng.normal(size=(rows, 4)))
+        states[0, :4] = [-0.0, 5e-324, 1e308, -1e308]
+        controls[-1, :3] = [-0.0, -5e-324, 1e308]
+        trajectory = Trajectory(times=times, states=states, controls=controls)
+        stream = io.StringIO()
+        trajectory_csv(trajectory, stream)
+        table = np.column_stack([times, states, controls])
+        expected = "\n".join([TRAJECTORY_HEADER, *(",".join("%.17g" % v for v in row)
+                                                   for row in table.tolist())]) + "\n"
+        assert stream.getvalue() == expected
+        assert expected.splitlines()[1].startswith("0,-0,4.9406564584124654e-324,1e+308,")
 
 
 # The full default document, as in the README.

@@ -11,10 +11,9 @@ from quadctrl import (
     PidState,
     Setpoints,
     cascade_step,
-    gains_from_time_constants,
     pid_step,
 )
-from quadctrl.pid import ANGLE_LIMIT, ZeroIntegralTime
+from quadctrl.pid import ANGLE_LIMIT
 
 
 class TestPidStep:
@@ -78,27 +77,6 @@ class TestPidStep:
             return outs
 
         assert run() == run()
-
-
-class TestGainsFromTimeConstants:
-    def test_direct_arithmetic(self):
-        gains = gains_from_time_constants(2.0, 4.0, 0.5)
-        assert gains.ki == 0.5
-        assert gains.kd == 1.0
-
-    def test_zero_derivative_time(self):
-        gains = gains_from_time_constants(1.0, 1.0, 0.0)
-        assert gains.ki == 1.0
-        assert gains.kd == 0.0
-
-    def test_zero_kp_annihilates(self):
-        gains = gains_from_time_constants(0.0, 5.0, 5.0)
-        assert gains.ki == 0.0
-        assert gains.kd == 0.0
-
-    def test_zero_integral_time_rejected(self):
-        with pytest.raises(ZeroIntegralTime):
-            gains_from_time_constants(1.0, 0.0, 1.0)
 
 
 ZERO_GAINS = PidGains(kp=0.0, ki=0.0, kd=0.0)
@@ -191,6 +169,15 @@ class TestCascadeStep:
                          CascadeMemory(), 0.001, params)
         assert u == pytest.approx([0.0, 0.0, 0.0, 0.0], abs=1e-15)
 
+    def test_list_state_gives_list_of_floats(self, params):
+        state = [0.01 * k for k in range(12)]
+        refs = Setpoints(z_ref=1.0, x_ref=0.5, y_ref=-0.5, psi_ref=0.3)
+        u = cascade_step(CascadeConfig(), state, refs, CascadeMemory(), 0.001, params)
+        controller = PidCascadeController(CascadeConfig(), params)
+        for out in (u, controller.control(state, refs, 0.001)):
+            assert type(out) is list
+            assert [type(v) for v in out] == [float] * 4
+
     def test_deterministic(self, params, rng):
         states = rng.normal(size=(20, 12)) * 0.1
 
@@ -200,7 +187,7 @@ class TestCascadeStep:
             for s in states:
                 u = cascade_step(CascadeConfig(), s, Setpoints(z_ref=1.0),
                                  memory, 0.001, params)
-                outputs.append(u.tolist())
+                outputs.append(u)
             return outputs
 
         assert run() == run()
@@ -224,7 +211,7 @@ class TestCascadeReset:
                 controller.control(s, Setpoints(z_ref=1.0), 0.001)
             for _ in range(resets):
                 controller.reset()
-            return [controller.control(s, Setpoints(z_ref=1.0), 0.001).tolist()
+            return [controller.control(s, Setpoints(z_ref=1.0), 0.001)
                     for s in states]
 
         assert outputs(2) == outputs(1)

@@ -23,8 +23,8 @@ from quadctrl import (
     scenario_case,
     solve_care,
 )
-from quadctrl.model import PHI, PSI, THETA, wrap_angle
-from quadctrl.pid import ANGLE_LIMIT
+from quadctrl.model import PHI, PSI, THETA, X, Y, Z, wrap_angle
+from quadctrl.pid import ANGLE_LIMIT, CascadeMemory, pid_step
 from quadctrl.sim import UnknownCase
 
 ZERO_GAINS = PidGains(kp=0.0, ki=0.0, kd=0.0)
@@ -173,17 +173,60 @@ def ndarray_run(scenario, controller, params):
     return states, controls
 
 
-class ClampWatchingPid(PidCascadeController):
-    """Records the largest held roll/pitch setpoint the cascade issued."""
+# The ndarray cascade step and LQR law that the controllers ran before
+# they took and returned lists: the reference controllers of the oracle.
+def ndarray_cascade_step(config, state, references, memory, dt, params):
+    s = np.asarray(state, dtype=float)
+    if memory.step_count % config.outer_decimation == 0:
+        outer_dt = dt * config.outer_decimation
+        raw_phi = pid_step(config.roll_outer, memory.roll_outer,
+                           references.y_ref - s[Y], outer_dt)
+        raw_theta = pid_step(config.pitch_outer, memory.pitch_outer,
+                             s[X] - references.x_ref, outer_dt)
+        memory.phi_ref = max(-ANGLE_LIMIT, min(ANGLE_LIMIT, raw_phi))
+        memory.theta_ref = max(-ANGLE_LIMIT, min(ANGLE_LIMIT, raw_theta))
+    memory.step_count += 1
 
-    largest_angle_ref = 0.0
+    thrust_ff = params.hover_thrust if config.gravity_feedforward else 0.0
+    u1 = pid_step(config.thrust, memory.thrust, references.z_ref - s[Z], dt)
+    u2 = pid_step(config.roll_inner, memory.roll_inner, memory.phi_ref - s[PHI], dt)
+    u3 = pid_step(config.pitch_inner, memory.pitch_inner, memory.theta_ref - s[THETA], dt)
+    u4 = pid_step(config.yaw, memory.yaw, references.psi_ref - s[PSI], dt)
+    return np.array([thrust_ff + u1, u2, u3, u4])
+
+
+class NdarrayPid:
+    """The ndarray cascade; records the largest held roll/pitch setpoint."""
+
+    def __init__(self, config, params):
+        self.config, self.params = config, params
+        self.largest_angle_ref = 0.0
+
+    def reset(self):
+        self.memory = CascadeMemory()
 
     def control(self, state, references, dt):
-        u = super().control(state, references, dt)
-        memory = self._memory
+        u = ndarray_cascade_step(self.config, state, references, self.memory, dt,
+                                 self.params)
         self.largest_angle_ref = max(self.largest_angle_ref,
-                                     abs(memory.phi_ref), abs(memory.theta_ref))
+                                     abs(self.memory.phi_ref), abs(self.memory.theta_ref))
         return u
+
+
+class NdarrayLqr:
+    """The ndarray LQR law, x_ref rebuilt every step."""
+
+    def __init__(self, K, params):
+        self.K = K
+        _, self.u_equilibrium, _ = hover_equilibrium(params)
+
+    def reset(self):
+        pass
+
+    def control(self, state, references, dt):
+        deviation = (np.asarray(state, dtype=float)
+                     - np.asarray(references.reference_state(), dtype=float))
+        return np.asarray(self.u_equilibrium, dtype=float) - self.K @ deviation
 
 
 class TestFloatPathOracle:
@@ -193,7 +236,7 @@ class TestFloatPathOracle:
         sc = scenario_case(3, duration=2.0, dt=0.001,
                            references=Setpoints(z_ref=1.0, x_ref=1.0, y_ref=-1.0,
                                                 psi_ref=0.5))
-        reference = ClampWatchingPid(CascadeConfig(), params)
+        reference = NdarrayPid(CascadeConfig(), params)
         states, controls = ndarray_run(sc, reference, params)
         trajectory = run_closed_loop(sc, PidCascadeController(CascadeConfig(), params),
                                      params)
@@ -201,6 +244,40 @@ class TestFloatPathOracle:
         assert np.all(np.abs(states[:, [PHI, THETA, PSI]]).max(axis=0) > 0.1)
         assert np.array_equal(trajectory.states, states)
         assert np.array_equal(trajectory.controls, controls)
+
+    def test_nonlinear_lqr_run_matches_ndarray_path_bit_for_bit(self, params,
+                                                                 default_gain):
+        # every reference is nonzero, so all four gain blocks act; 5e-5
+        # is the grid on which the sampled full-state loop is stable
+        sc = scenario_case(3, duration=0.2, dt=5e-5,
+                           references=Setpoints(z_ref=1.0, x_ref=0.7, y_ref=-0.4,
+                                                psi_ref=0.5))
+        states, controls = ndarray_run(sc, NdarrayLqr(default_gain, params), params)
+        trajectory = run_closed_loop(sc, LqrController(default_gain, params), params)
+        assert sc.sample_count == 4001
+        _, u_eq, _ = hover_equilibrium(params)
+        assert np.all(np.abs(controls - u_eq).min(axis=0) > 0.0)
+        assert np.array_equal(trajectory.states, states)
+        assert np.array_equal(trajectory.controls, controls)
+
+
+class TestControllerOutput:
+    def test_lqr_list_state_gives_list_of_floats(self, params, default_gain):
+        u = LqrController(default_gain, params).control(
+            [0.01 * k for k in range(12)], Setpoints(z_ref=1.0, x_ref=0.5), 0.001)
+        assert type(u) is list
+        assert [type(v) for v in u] == [float] * 4
+
+    def test_lqr_follows_a_change_of_setpoints(self, params, default_gain):
+        state = [0.0] * 12
+        first, second = Setpoints(z_ref=1.0), Setpoints(z_ref=1.0, x_ref=0.5)
+        controller = LqrController(default_gain, params)
+        outputs = [controller.control(state, refs, 0.001)
+                   for refs in (first, second, first, Setpoints(z_ref=1.0))]
+        fresh = [LqrController(default_gain, params).control(state, refs, 0.001)
+                 for refs in (first, second)]
+        assert outputs == [fresh[0], fresh[1], fresh[0], fresh[0]]
+        assert fresh[0] != fresh[1]
 
 
 class TestScenarioCase:

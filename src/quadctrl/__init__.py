@@ -31,7 +31,6 @@ from .riccati import (
     LqrWeights,
     NoConvergence,
     NotStabilizable,
-    evaluate_cost,
     feedback_control,
     lqr_gain,
     solve_care,
@@ -78,7 +77,6 @@ __all__ = [
     "cascade_step",
     "compute_metrics",
     "dynamics",
-    "evaluate_cost",
     "feedback_control",
     "hover_equilibrium",
     "hover_jacobians",

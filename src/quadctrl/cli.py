@@ -17,9 +17,10 @@ PID gains, LQR weight diagonals, benchmark case 1):
 Every key can change the output of some command.  The commands drive the
 generalized inputs u1..u4 directly, so the rotor-mixer constants (arm
 length, thrust and drag factors) are not part of the document.
-Unknown keys are rejected with their full path.  Outputs are emitted
-with 17 significant digits and Unix newlines, so repeated runs of the
-same config are byte-identical.
+Unknown keys and non-finite numbers (JSON's NaN and Infinity) are
+rejected with their full path.  Outputs are emitted with 17
+significant digits and Unix newlines, so repeated runs of the same
+config are byte-identical.
 
 Exit codes: 0 success, 1 configuration error, 2 simulation divergence.
 """
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import TextIO
@@ -89,13 +91,25 @@ def _reject_unknown(node: dict, known, path: str) -> None:
             raise SchemaError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
 
 
+def _finite(value, path: str) -> float:
+    # json.loads accepts NaN and Infinity, and an integer literal can
+    # overflow a float
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{path}: expected a finite number")
+    return number
+
+
 def _number(node: dict, key: str, path: str, default):
     if key not in node:
         return default
     value = node[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{path}.{key}: expected a number, got {value!r}")
-    return float(value)
+    return _finite(value, f"{path}.{key}")
 
 
 def _vector(node: dict, key: str, path: str, length: int, default):
@@ -105,7 +119,7 @@ def _vector(node: dict, key: str, path: str, length: int, default):
     if (not isinstance(value, list) or len(value) != length
             or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
         raise ValueError(f"{path}.{key}: expected {length} numbers, got {value!r}")
-    return [float(v) for v in value]
+    return [_finite(v, f"{path}.{key}[{i}]") for i, v in enumerate(value)]
 
 
 def _flag(node: dict, key: str, path: str, default: bool) -> bool:
@@ -183,6 +197,8 @@ def _parse_scenario(case_node: dict, sim_node: dict) -> Scenario:
     x0 = _vector(case_node, "x0", "case", model.STATE_DIM,
                  stock.initial_state.tolist())
 
+    duration = _number(sim_node, "t_final", "sim", stock.duration)
+    dt = _number(sim_node, "dt", "sim", stock.dt)
     plant = sim_node.get("plant", stock.plant_mode)
     if plant not in sim.PLANT_MODES:
         raise ValueError(f"sim.plant: expected one of {sim.PLANT_MODES}, got {plant!r}")
@@ -191,8 +207,8 @@ def _parse_scenario(case_node: dict, sim_node: dict) -> Scenario:
             case_id,
             initial_state=np.array(x0),
             references=Setpoints(**ref_kwargs),
-            duration=_number(sim_node, "t_final", "sim", stock.duration),
-            dt=_number(sim_node, "dt", "sim", stock.dt),
+            duration=duration,
+            dt=dt,
             plant_mode=plant,
         )
     except ValueError as exc:

@@ -1,10 +1,10 @@
 """Hover linearization of the quadrotor model.
 
-Produces the state-space quadruple (A, B, C, D) of the model linearized
-about the hover equilibrium, both analytically and through a
-central-difference oracle that differentiates the nonlinear dynamics
-directly.  Inputs of the linear model are deviations from hover, i.e.
-du1 = u1 - m*g and du2..du4 = u2..u4.
+Produces the state-space pair (A, B) of the model linearized about the
+hover equilibrium, both analytically and through a central-difference
+oracle that differentiates the nonlinear dynamics directly.  Inputs of
+the linear model are deviations from hover, i.e. du1 = u1 - m*g and
+du2..du4 = u2..u4.
 """
 
 from __future__ import annotations
@@ -16,39 +16,19 @@ import numpy as np
 from . import model
 from .model import QuadrotorParams
 
-OUTPUT_INDICES = (model.Z, model.PHI, model.THETA, model.PSI)
-
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Linear model dx/dt = A x + B du, y = C x + D du.
-
-    A is 12x12, B is 12x4, C is the 4x12 selector picking
-    [z, phi, theta, psi] and D is the 4x4 zero matrix.
-    """
+    """Linear model dx/dt = A x + B du: A is 12x12, B is 12x4."""
 
     A: np.ndarray
     B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
 
     def __post_init__(self) -> None:
         if self.A.shape != (model.STATE_DIM, model.STATE_DIM):
             raise ValueError(f"A must be 12x12, got {self.A.shape}")
         if self.B.shape != (model.STATE_DIM, model.INPUT_DIM):
             raise ValueError(f"B must be 12x4, got {self.B.shape}")
-        if self.C.shape != (model.INPUT_DIM, model.STATE_DIM):
-            raise ValueError(f"C must be 4x12, got {self.C.shape}")
-        if self.D.shape != (model.INPUT_DIM, model.INPUT_DIM):
-            raise ValueError(f"D must be 4x4, got {self.D.shape}")
-
-
-def output_matrix() -> np.ndarray:
-    """Selector extracting [z, phi, theta, psi] from the state."""
-    C = np.zeros((model.INPUT_DIM, model.STATE_DIM))
-    for row, col in enumerate(OUTPUT_INDICES):
-        C[row, col] = 1.0
-    return C
 
 
 def hover_jacobians(params: QuadrotorParams) -> StateSpace:
@@ -72,7 +52,7 @@ def hover_jacobians(params: QuadrotorParams) -> StateSpace:
     B[model.Q, 2] = 1.0 / params.inertia_yy
     B[model.R, 3] = 1.0 / params.inertia_zz
 
-    return StateSpace(A=A, B=B, C=output_matrix(), D=np.zeros((4, 4)))
+    return StateSpace(A=A, B=B)
 
 
 def numeric_jacobians(
@@ -124,17 +104,13 @@ def controllability_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         blocks.append(A @ blocks[-1])
     return np.hstack(blocks)
 
-def controllability_rank(A: np.ndarray, B: np.ndarray, rtol: float = 1e-8) -> int:
-    """Numerical rank of the controllability matrix.
 
-    Counts singular values above ``rtol`` times the largest one; the
-    pair is controllable when this equals the state dimension.
+def is_controllable(A: np.ndarray, B: np.ndarray) -> bool:
+    """Whether the controllability matrix has full rank.
+
+    Its numerical rank counts the singular values above 1e-8 times the
+    largest one.
     """
     sigma = np.linalg.svd(controllability_matrix(A, B), compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sigma > rtol * sigma[0]))
-
-
-def is_controllable(A: np.ndarray, B: np.ndarray, rtol: float = 1e-8) -> bool:
-    return controllability_rank(A, B, rtol) == np.asarray(A).shape[0]
+    rank = np.count_nonzero(sigma > 1e-8 * sigma.max(initial=0.0))
+    return bool(rank == np.asarray(A).shape[0])

@@ -38,7 +38,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 from scipy.linalg import lu_factor, lu_solve, schur
 
 from . import model
@@ -57,17 +56,19 @@ DEFAULT_Q_DIAGONAL = (
 )
 DEFAULT_R_DIAGONAL = (1.0, 0.001, 0.001, 0.001)
 
+# solve_care's bound on the Frobenius norm of the Riccati residual, as a
+# fraction of the Frobenius norm of Q, and its budget of Newton steps
+# per decoupled block.
+RESIDUAL_RTOL = 1e-9
+MAX_NEWTON_STEPS = 100
+
 
 class NotStabilizable(ValueError):
     """The (A, B) pair fails the controllability rank check."""
 
 
 class NoConvergence(RuntimeError):
-    """Newton iteration exhausted max_iter without meeting tolerance."""
-
-
-class GridMismatch(ValueError):
-    """Trajectory and control samples do not share one time grid."""
+    """Newton iteration exhausted MAX_NEWTON_STEPS without meeting tolerance."""
 
 
 @dataclass(frozen=True)
@@ -232,7 +233,7 @@ def _decoupled_blocks(A, B, weights: LqrWeights) -> list[tuple[np.ndarray, np.nd
     return blocks
 
 
-def _newton(A, B, weights: LqrWeights, tol: float, max_iter: int) -> tuple[np.ndarray, int]:
+def _newton(A, B, weights: LqrWeights, tol: float) -> tuple[np.ndarray, int]:
     """Kleinman's Newton iteration from a stabilizing gain: (S, iterations).
 
     The residual of a Kleinman iterate is -dK' R dK for the gain update
@@ -242,7 +243,7 @@ def _newton(A, B, weights: LqrWeights, tol: float, max_iter: int) -> tuple[np.nd
     """
     gain_map = np.linalg.solve(weights.R, B.T)     # K = gain_map @ S
     K = stabilizing_gain(A, B)
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, MAX_NEWTON_STEPS + 1):
         S = solve_lyapunov(A - B @ K, weights.Q + K.T @ (weights.R @ K))
         K = gain_map @ S
         residual = care_residual(A, B, S, weights)
@@ -251,7 +252,7 @@ def _newton(A, B, weights: LqrWeights, tol: float, max_iter: int) -> tuple[np.nd
             return S, iteration + 1
     raise NoConvergence(
         f"Riccati residual {residual:.3e} above tolerance {tol:.3e} "
-        f"after {max_iter} Newton iterations"
+        f"after {MAX_NEWTON_STEPS} Newton iterations"
     )
 
 
@@ -259,21 +260,19 @@ def solve_care(
     A: np.ndarray,
     B: np.ndarray,
     weights: LqrWeights,
-    tol: float | None = None,
-    max_iter: int = 100,
     method: str = "newton",
 ) -> CareSolution:
     """Solve the CARE for the stabilizing solution S.
 
-    ``tol`` bounds the Frobenius norm of the Riccati residual and
-    defaults to 1e-9 times the Frobenius norm of Q.  ``method`` selects
+    The Frobenius norm of the Riccati residual must come within
+    ``RESIDUAL_RTOL`` times the Frobenius norm of Q.  ``method`` selects
     the Newton iteration (default) or the Hamiltonian eigenvector
     cross-check path.  The Newton path solves each decoupled block on
     its own, and ``iterations`` counts its Newton steps over all blocks.
 
     Raises :class:`NotStabilizable` when the controllability rank check
-    fails and :class:`NoConvergence` when max_iter Newton steps do not
-    reach the tolerance.
+    fails and :class:`NoConvergence` when ``MAX_NEWTON_STEPS`` Newton
+    steps on a block do not reach the tolerance.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -288,10 +287,7 @@ def solve_care(
         raise ValueError(f"R must be {B.shape[1]}x{B.shape[1]}, got {weights.R.shape}")
 
     q_norm = float(np.linalg.norm(weights.Q, ord="fro"))
-    if tol is None:
-        tol = 1e-9 * q_norm
-    elif tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    tol = RESIDUAL_RTOL * q_norm
 
     if not is_controllable(A, B):
         raise NotStabilizable(
@@ -328,7 +324,7 @@ def solve_care(
             continue
         block_weights = LqrWeights(Q=block_q, R=weights.R[np.ix_(inputs, inputs)])
         S[square], steps = _newton(A[square], B[np.ix_(states, inputs)], block_weights,
-                                   tol * share, max_iter)
+                                   tol * share)
         iterations += steps
     residual = care_residual(A, B, S, weights)
     if residual > tol:
@@ -406,32 +402,3 @@ def feedback_control(
     Python dot product sums in another order and moves the last bits.
     """
     return u_equilibrium - K @ np.subtract(state, reference)
-
-
-def evaluate_cost(
-    times: np.ndarray,
-    states: np.ndarray,
-    controls: np.ndarray,
-    weights: LqrWeights,
-    reference: np.ndarray | None = None,
-) -> float:
-    """Trapezoidal approximation of the quadratic cost
-    integral of (x' Q x + u' R u) dt over the sampled horizon.
-
-    States are measured as deviations from ``reference`` when one is
-    given.  Raises :class:`GridMismatch` when the three series do not
-    share a common grid.
-    """
-    times = np.asarray(times, dtype=float)
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    controls = np.atleast_2d(np.asarray(controls, dtype=float))
-    if states.shape[0] != times.shape[0] or controls.shape[0] != times.shape[0]:
-        raise GridMismatch(
-            f"times ({times.shape[0]}), states ({states.shape[0]}) and "
-            f"controls ({controls.shape[0]}) must share one grid"
-        )
-    if reference is not None:
-        states = states - np.asarray(reference, dtype=float)
-    integrand = (np.einsum("ij,jk,ik->i", states, weights.Q, states)
-                 + np.einsum("ij,jk,ik->i", controls, weights.R, controls))
-    return float(trapezoid(integrand, times))

@@ -74,8 +74,8 @@ class Scenario:
         if not np.all(np.isfinite(state)):
             raise ValueError("initial_state must be finite")
         object.__setattr__(self, "initial_state", state)
-        if self.duration <= 0.0 or self.dt <= 0.0:
-            raise ValueError("duration and dt must be positive")
+        if not (0.0 < self.duration < math.inf and 0.0 < self.dt < math.inf):
+            raise ValueError("duration and dt must be positive and finite")
         if self.dt > self.duration / 100.0:
             raise ValueError(
                 f"dt={self.dt} too coarse for duration={self.duration} "

@@ -5,11 +5,16 @@ import copy
 import dataclasses
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quadctrl
 from quadctrl.cli import (
     CSV_BLOCK,
     TRAJECTORY_HEADER,
@@ -243,6 +248,36 @@ class TestMainEntry:
         assert main(["--config", str(cfg), "run", "--controller", "lqr",
                      "--out", str(out)]) == 0
         assert (out / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("document, path", [
+        ('{"sim": {"t_final": Infinity}}', "sim.t_final"),
+        ('{"sim": {"dt": NaN}}', "sim.dt"),
+        ('{"case": {"z_ref": NaN}}', "case.z_ref"),
+        ('{"case": {"x0": [0, 0, 0, -Infinity, 0, 0, 0, 0, 0, 0, 0, 0]}}', "case.x0[3]"),
+        ('{"params": {"m": 1' + "0" * 400 + '}}', "params.m"),
+    ], ids=["t_final-inf", "dt-nan", "z_ref-nan", "x0-inf", "m-overflow"])
+    def test_non_finite_number_exits_one(self, tmp_path, capsys, document, path):
+        # json.loads accepts NaN and Infinity; a huge integer overflows a float
+        cfg = tmp_path / "config.json"
+        cfg.write_text(document)
+        for command in (["gain"], ["run", "--controller", "pid", "--out", str(tmp_path / "out")]):
+            assert main(["--config", str(cfg), *command]) == 1
+            err = capsys.readouterr().err
+            assert err == f"config error: {path}: expected a finite number\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_import_leaves_unused_scipy_out(self):
+        # scipy.integrate alone pulled in special, optimize, sparse,
+        # spatial and fft: most of the CLI's start-up time
+        code = ("import sys; import quadctrl.cli as c; c.parse_config('{}'); "
+                "print(sorted({'scipy.integrate', 'scipy.special', 'scipy.optimize'}"
+                " & set(sys.modules)))")
+        src = str(Path(quadctrl.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout == "[]\n"
 
     def test_trajectory_csv_is_17_significant_digits(self, params, default_gain):
         from quadctrl import LqrController, run_closed_loop

@@ -1,4 +1,4 @@
-"""Tests for the Riccati solver, LQR gains and the quadratic cost.
+"""Tests for the Riccati solver and LQR gains.
 
 Every solver result is checked against independent oracles: direct
 substitution into the defining equation, hand-derived closed forms for
@@ -21,15 +21,14 @@ from quadctrl import (
     NoConvergence,
     NotStabilizable,
     QuadrotorParams,
-    evaluate_cost,
     feedback_control,
     hover_jacobians,
     lqr_gain,
+    riccati,
     solve_care,
     solve_lyapunov,
 )
 from quadctrl.riccati import (
-    GridMismatch,
     _decoupled_blocks,
     care_residual,
     stabilizing_gain,
@@ -242,9 +241,11 @@ class TestSolveCare:
         with pytest.raises(NotStabilizable):
             solve_care(hover_ss.A, B, default_weights)
 
-    def test_no_convergence_when_iterations_exhausted(self, hover_ss, default_weights):
+    def test_no_convergence_when_iterations_exhausted(self, hover_ss, default_weights,
+                                                       monkeypatch):
+        monkeypatch.setattr(riccati, "MAX_NEWTON_STEPS", 1)
         with pytest.raises(NoConvergence):
-            solve_care(hover_ss.A, hover_ss.B, default_weights, max_iter=1)
+            solve_care(hover_ss.A, hover_ss.B, default_weights)
 
     def test_zero_state_weight_gives_zero_solution(self, hover_ss):
         weights = LqrWeights(Q=np.zeros((12, 12)), R=np.diag([1.0, 0.001, 0.001, 0.001]))
@@ -400,39 +401,3 @@ class TestFeedbackControl:
                              np.array([9.81, 0.0, 0.0, 0.0]))
         assert u[0] - 9.81 == pytest.approx(default_gain[0, 2], rel=1e-12)
         assert u[0] - 9.81 == pytest.approx(1.3077, abs=2e-4)
-
-
-class TestEvaluateCost:
-    def test_zero_trajectory_costs_nothing(self):
-        times = np.linspace(0.0, 1.0, 101)
-        weights = LqrWeights(Q=np.eye(2), R=np.eye(1))
-        cost = evaluate_cost(times, np.zeros((101, 2)), np.zeros((101, 1)), weights)
-        assert cost == 0.0
-
-    def test_constant_unit_state(self):
-        times = np.linspace(0.0, 2.0, 2001)
-        weights = LqrWeights(Q=np.eye(1), R=np.eye(1))
-        cost = evaluate_cost(times, np.ones((2001, 1)), np.zeros((2001, 1)), weights)
-        assert cost == pytest.approx(2.0, rel=1e-12)
-
-    def test_decaying_state_matches_analytic_integral(self):
-        dt = 0.001
-        times = np.arange(0.0, 10.0 + dt / 2, dt)
-        states = np.exp(-times)[:, None]
-        weights = LqrWeights(Q=np.eye(1), R=np.eye(1))
-        cost = evaluate_cost(times, states, np.zeros_like(states), weights)
-        assert cost == pytest.approx((1.0 - math.exp(-20.0)) / 2.0, abs=1e-4)
-
-    def test_reference_shifts_deviation(self):
-        times = np.linspace(0.0, 1.0, 101)
-        states = np.ones((101, 1))
-        weights = LqrWeights(Q=np.eye(1), R=np.eye(1))
-        cost = evaluate_cost(times, states, np.zeros((101, 1)), weights,
-                             reference=np.array([1.0]))
-        assert cost == 0.0
-
-    def test_grid_mismatch_rejected(self):
-        times = np.linspace(0.0, 1.0, 11)
-        weights = LqrWeights(Q=np.eye(1), R=np.eye(1))
-        with pytest.raises(GridMismatch):
-            evaluate_cost(times, np.zeros((11, 1)), np.zeros((10, 1)), weights)

@@ -16,7 +16,6 @@ from quadctrl import (
     Trajectory,
     compute_metrics,
     dynamics,
-    evaluate_cost,
     hover_equilibrium,
     rk4_step,
     run_closed_loop,
@@ -316,6 +315,9 @@ class TestScenarioCase:
     def test_scenario_validation(self):
         with pytest.raises(ValueError, match="dt"):
             scenario_case(1, duration=1.0, dt=0.5)
+        for duration, dt in ((math.inf, 1e-3), (1.0, math.nan), (math.nan, 1e-3)):
+            with pytest.raises(ValueError, match="finite"):
+                scenario_case(1, duration=duration, dt=dt)
         with pytest.raises(ValueError, match="plant_mode"):
             scenario_case(1, plant_mode="hybrid")
 
@@ -401,8 +403,10 @@ class TestRunCost:
         sc = scenario_case(2, duration=3.0, dt=5e-5, plant_mode="linear")
         trajectory = run_closed_loop(sc, LqrController(default_gain, params), params)
         _, u_hover, _ = hover_equilibrium(params)
-        cost = evaluate_cost(trajectory.times, trajectory.states,
-                             trajectory.controls - u_hover, default_weights)
+        x, u = trajectory.states, trajectory.controls - u_hover
+        integrand = (np.einsum("ij,jk,ik->i", x, default_weights.Q, x)
+                     + np.einsum("ij,jk,ik->i", u, default_weights.R, u))
+        cost = float(np.sum(np.diff(trajectory.times) * (integrand[1:] + integrand[:-1])) / 2)
         x0, x_final = trajectory.states[0], trajectory.states[-1]
         assert cost == pytest.approx(x0 @ S @ x0 - x_final @ S @ x_final, rel=1e-3)
 

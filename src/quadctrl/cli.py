@@ -1,26 +1,21 @@
 """Configuration loading, subcommand dispatch and artifact emission.
 
-The config document is plain JSON; every section is optional and
+The config document is plain JSON with the sections ``params``,
+``sim``, ``pid``, ``lqr`` and ``case``; every key is optional and
 omitted keys fall back to the stock defaults (vehicle constants, tuned
-PID gains, LQR weight diagonals, benchmark case 1):
-
-    {
-      "params": {"m","ixx","iyy","izz","g"},
-      "sim":    {"dt","t_final","plant"},
-      "pid":    {"thrust"|"roll_inner"|"roll_outer"|"pitch_inner"
-                 |"pitch_outer"|"yaw": {"p","i","d"},
-                 "outer_decimation","gravity_feedforward"},
-      "lqr":    {"q_diag":[12],"r_diag":[4]},
-      "case":   {"id","z_ref","x_ref","y_ref","psi_ref","x0":[12]}
-    }
+PID gains, LQR weight diagonals, benchmark case 1).  :func:`_defaults`
+builds the full document at those defaults: its keys are the accepted
+keys, and each default's type is the type a value must have.
 
 Every key can change the output of some command.  The commands drive the
 generalized inputs u1..u4 directly, so the rotor-mixer constants (arm
 length, thrust and drag factors) are not part of the document.
 Unknown keys and non-finite numbers (JSON's NaN and Infinity) are
-rejected with their full path.  Outputs are emitted with 17
-significant digits and Unix newlines, so repeated runs of the same
-config are byte-identical.
+rejected with their full path.  trajectory.csv and the matrices of
+``linearize`` and ``gain`` carry 17 significant digits; the JSON
+artifacts carry each float's shortest repr that reads back to the same
+value.  Outputs use Unix newlines, so repeated runs of the same config
+are byte-identical.
 
 Exit codes: 0 success, 1 configuration error, 2 simulation divergence.
 """
@@ -63,6 +58,8 @@ _PARAM_KEYS = {
 }
 _PID_LOOPS = ("thrust", "roll_inner", "roll_outer", "pitch_inner", "pitch_outer", "yaw")
 _REF_KEYS = ("z_ref", "x_ref", "y_ref", "psi_ref")
+# Lower bounds of integer keys, checked with their type.
+_INT_MINIMUM = {"pid.outer_decimation": 1}
 
 
 class SchemaError(ValueError):
@@ -85,12 +82,6 @@ def _require_mapping(node, path: str) -> dict:
     return node
 
 
-def _reject_unknown(node: dict, known, path: str) -> None:
-    for key in node:
-        if key not in known:
-            raise SchemaError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
-
-
 def _finite(value, path: str) -> float:
     # json.loads accepts NaN and Infinity, and an integer literal can
     # overflow a float
@@ -103,140 +94,127 @@ def _finite(value, path: str) -> float:
     return number
 
 
-def _number(node: dict, key: str, path: str, default):
-    if key not in node:
-        return default
-    value = node[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{path}.{key}: expected a number, got {value!r}")
-    return _finite(value, f"{path}.{key}")
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _vector(node: dict, key: str, path: str, length: int, default):
-    if key not in node:
-        return default
-    value = node[key]
-    if (not isinstance(value, list) or len(value) != length
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
-        raise ValueError(f"{path}.{key}: expected {length} numbers, got {value!r}")
-    return [_finite(v, f"{path}.{key}[{i}]") for i, v in enumerate(value)]
+def _defaults(case_id: int) -> dict:
+    """The full config document at its defaults for benchmark case ``case_id``.
+
+    Its keys are the keys the document accepts, and the type of each
+    default is the type a value must have.
+    """
+    params, cascade, stock = QuadrotorParams(), CascadeConfig(), scenario_case(case_id)
+    gains = {loop: getattr(cascade, loop) for loop in _PID_LOOPS}
+    return {
+        "params": {key: getattr(params, field) for key, field in _PARAM_KEYS.items()},
+        "sim": {"dt": stock.dt, "t_final": stock.duration, "plant": stock.plant_mode},
+        "pid": {**{loop: {"p": g.kp, "i": g.ki, "d": g.kd} for loop, g in gains.items()},
+                "outer_decimation": cascade.outer_decimation,
+                "gravity_feedforward": cascade.gravity_feedforward},
+        "lqr": {"q_diag": list(DEFAULT_Q_DIAGONAL), "r_diag": list(DEFAULT_R_DIAGONAL)},
+        "case": {"id": case_id,
+                 **{key: getattr(stock.references, key) for key in _REF_KEYS},
+                 "x0": stock.initial_state.tolist()},
+    }
 
 
-def _flag(node: dict, key: str, path: str, default: bool) -> bool:
-    if key not in node:
-        return default
-    value = node[key]
-    if not isinstance(value, bool):
-        raise ValueError(f"{path}.{key}: expected true/false, got {value!r}")
-    return value
+def _merge(node, defaults: dict, path: str) -> dict:
+    """``defaults`` with the values of the object ``node`` checked and filled in.
 
-
-def _parse_params(node: dict) -> QuadrotorParams:
-    _reject_unknown(node, _PARAM_KEYS, "params")
-    defaults = QuadrotorParams()
-    kwargs = {}
-    for key, fieldname in _PARAM_KEYS.items():
-        kwargs[fieldname] = _number(node, key, "params", getattr(defaults, fieldname))
-    try:
-        return QuadrotorParams(**kwargs)
-    except ValueError as exc:
-        raise ValueError(f"params: {exc}") from exc
-
-
-def _parse_pid(node: dict) -> CascadeConfig:
-    _reject_unknown(node, _PID_LOOPS + ("outer_decimation", "gravity_feedforward"), "pid")
-    defaults = CascadeConfig()
-    kwargs = {}
-    for loop in _PID_LOOPS:
-        if loop not in node:
-            continue
-        triplet = _require_mapping(node[loop], f"pid.{loop}")
-        _reject_unknown(triplet, ("p", "i", "d"), f"pid.{loop}")
-        base: PidGains = getattr(defaults, loop)
-        kwargs[loop] = PidGains(
-            kp=_number(triplet, "p", f"pid.{loop}", base.kp),
-            ki=_number(triplet, "i", f"pid.{loop}", base.ki),
-            kd=_number(triplet, "d", f"pid.{loop}", base.kd),
-        )
-    if "outer_decimation" in node:
-        value = node["outer_decimation"]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValueError(
-                f"pid.outer_decimation: expected an integer >= 1, got {value!r}")
-        kwargs["outer_decimation"] = value
-    kwargs["gravity_feedforward"] = _flag(
-        node, "gravity_feedforward", "pid", defaults.gravity_feedforward)
-    return dataclasses.replace(defaults, **kwargs)
-
-
-def _parse_lqr(node: dict) -> LqrWeights:
-    _reject_unknown(node, ("q_diag", "r_diag"), "lqr")
-    q_diag = _vector(node, "q_diag", "lqr", model.STATE_DIM, list(DEFAULT_Q_DIAGONAL))
-    r_diag = _vector(node, "r_diag", "lqr", model.INPUT_DIM, list(DEFAULT_R_DIAGONAL))
-    try:
-        return LqrWeights.from_diagonals(q_diag, r_diag)
-    except ValueError as exc:
-        raise ValueError(f"lqr: {exc}") from exc
-
-
-def _parse_scenario(case_node: dict, sim_node: dict) -> Scenario:
-    _reject_unknown(case_node, ("id", "x0") + _REF_KEYS, "case")
-    _reject_unknown(sim_node, ("dt", "t_final", "plant"), "sim")
-
-    case_id = case_node.get("id", 1)
-    if isinstance(case_id, bool) or not isinstance(case_id, int):
-        raise ValueError(f"case.id: expected an integer, got {case_id!r}")
-    try:
-        stock = scenario_case(case_id)
-    except sim.UnknownCase as exc:
-        raise ValueError(f"case.id: {exc}") from exc
-
-    refs = stock.references
-    ref_kwargs = {key: _number(case_node, key, "case", getattr(refs, key))
-                  for key in _REF_KEYS}
-    x0 = _vector(case_node, "x0", "case", model.STATE_DIM,
-                 stock.initial_state.tolist())
-
-    duration = _number(sim_node, "t_final", "sim", stock.duration)
-    dt = _number(sim_node, "dt", "sim", stock.dt)
-    plant = sim_node.get("plant", stock.plant_mode)
-    if plant not in sim.PLANT_MODES:
-        raise ValueError(f"sim.plant: expected one of {sim.PLANT_MODES}, got {plant!r}")
-    try:
-        return scenario_case(
-            case_id,
-            initial_state=np.array(x0),
-            references=Setpoints(**ref_kwargs),
-            duration=duration,
-            dt=dt,
-            plant_mode=plant,
-        )
-    except ValueError as exc:
-        raise ValueError(f"sim: {exc}") from exc
+    An object recurses; a bool takes true/false, an int an integer
+    (at least ``_INT_MINIMUM`` where one is listed), a list as many
+    finite numbers as its default has, a float a finite number.  A
+    string is taken as is: its allowed values are checked where it is
+    used.
+    """
+    merged = dict(defaults)
+    for key, value in _require_mapping(node, path or "config").items():
+        where = f"{path}.{key}" if path else key
+        if key not in defaults:
+            raise SchemaError(f"{where}: unknown key")
+        default = defaults[key]
+        if isinstance(default, dict):
+            value = _merge(value, default, where)
+        elif isinstance(default, bool):
+            if not isinstance(value, bool):
+                raise ValueError(f"{where}: expected true/false, got {value!r}")
+        elif isinstance(default, int):
+            least = _INT_MINIMUM.get(where)
+            if (isinstance(value, bool) or not isinstance(value, int)
+                    or least is not None and value < least):
+                bound = "" if least is None else f" >= {least}"
+                raise ValueError(f"{where}: expected an integer{bound}, got {value!r}")
+        elif isinstance(default, list):
+            if (not isinstance(value, list) or len(value) != len(default)
+                    or not all(map(_is_number, value))):
+                raise ValueError(f"{where}: expected {len(default)} numbers, got {value!r}")
+            value = [_finite(v, f"{where}[{i}]") for i, v in enumerate(value)]
+        elif isinstance(default, float):
+            if not _is_number(value):
+                raise ValueError(f"{where}: expected a number, got {value!r}")
+            value = _finite(value, where)
+        merged[key] = value
+    return merged
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config document.
 
     Raises :class:`SchemaError` for structural problems (non-JSON,
-    unknown keys) and :class:`ValueError` for values that violate their
-    constraints; both messages carry the offending key path.
+    unknown keys, a non-object section) and :class:`ValueError` for
+    values that violate their constraints; both messages carry the
+    offending key path.
     """
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config is not valid JSON: {exc}") from exc
     document = _require_mapping(document, "config")
-    _reject_unknown(document, ("params", "sim", "pid", "lqr", "case"), "")
+    # case.id picks the defaults of the rest of the document
+    case = _require_mapping(document.get("case", {}), "case")
+    case_id = _merge({k: v for k, v in case.items() if k == "id"}, {"id": 1}, "case")["id"]
+    try:
+        defaults = _defaults(case_id)
+    except sim.UnknownCase as exc:
+        raise ValueError(f"case.id: {exc}") from exc
+    merged = _merge(document, defaults, "")
 
-    return RunConfig(
-        params=_parse_params(_require_mapping(document.get("params", {}), "params")),
-        cascade=_parse_pid(_require_mapping(document.get("pid", {}), "pid")),
-        weights=_parse_lqr(_require_mapping(document.get("lqr", {}), "lqr")),
-        scenario=_parse_scenario(
-            _require_mapping(document.get("case", {}), "case"),
-            _require_mapping(document.get("sim", {}), "sim")),
+    try:
+        params = QuadrotorParams(**{field: merged["params"][key]
+                                    for key, field in _PARAM_KEYS.items()})
+    except ValueError as exc:
+        raise ValueError(f"params: {exc}") from exc
+
+    pid = merged["pid"]
+    cascade = CascadeConfig(
+        **{loop: PidGains(kp=pid[loop]["p"], ki=pid[loop]["i"], kd=pid[loop]["d"])
+           for loop in _PID_LOOPS},
+        outer_decimation=pid["outer_decimation"],
+        gravity_feedforward=pid["gravity_feedforward"],
     )
+
+    try:
+        weights = LqrWeights.from_diagonals(merged["lqr"]["q_diag"], merged["lqr"]["r_diag"])
+    except ValueError as exc:
+        raise ValueError(f"lqr: {exc}") from exc
+
+    case, grid = merged["case"], merged["sim"]
+    if grid["plant"] not in sim.PLANT_MODES:
+        raise ValueError(
+            f"sim.plant: expected one of {sim.PLANT_MODES}, got {grid['plant']!r}")
+    try:
+        scenario = scenario_case(
+            case_id,
+            initial_state=np.array(case["x0"]),
+            references=Setpoints(**{key: case[key] for key in _REF_KEYS}),
+            duration=grid["t_final"],
+            dt=grid["dt"],
+            plant_mode=grid["plant"],
+        )
+    except ValueError as exc:
+        raise ValueError(f"sim: {exc}") from exc
+    return RunConfig(params=params, cascade=cascade, weights=weights, scenario=scenario)
 
 
 def _matrix_csv(matrix: np.ndarray) -> str:

@@ -55,25 +55,15 @@ def hover_jacobians(params: QuadrotorParams) -> StateSpace:
     return StateSpace(A=A, B=B)
 
 
-def numeric_jacobians(
-    params: QuadrotorParams,
-    state0: np.ndarray | None = None,
-    u0: np.ndarray | None = None,
-    eps: float = 1e-6,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference Jacobians of the nonlinear dynamics.
+def numeric_jacobians(params: QuadrotorParams,
+                      eps: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+    """Central-difference Jacobians of the nonlinear dynamics at hover.
 
-    Independent oracle for :func:`hover_jacobians`; defaults to the
-    hover operating point when no (state0, u0) is given.
+    Independent oracle for :func:`hover_jacobians`.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if state0 is None or u0 is None:
-        hover_state, hover_u, _ = model.hover_equilibrium(params)
-        state0 = hover_state if state0 is None else state0
-        u0 = hover_u if u0 is None else u0
-    state0 = np.asarray(state0, dtype=float)
-    u0 = np.asarray(u0, dtype=float)
+    state0, u0, _ = model.hover_equilibrium(params)
 
     A = np.zeros((model.STATE_DIM, model.STATE_DIM))
     for j in range(model.STATE_DIM):

@@ -276,10 +276,8 @@ def solve_care(
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
     n = A.shape[0]
-    if A.shape != (n, n) or B.shape[0] != n:
+    if A.shape != (n, n) or B.ndim != 2 or B.shape[0] != n:
         raise ValueError(f"incompatible shapes A {A.shape}, B {B.shape}")
     if weights.Q.shape != (n, n):
         raise ValueError(f"Q must be {n}x{n}, got {weights.Q.shape}")
@@ -345,8 +343,6 @@ def lqr_gain(A: np.ndarray, B: np.ndarray, weights: LqrWeights) -> np.ndarray:
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
     if np.any(weights.Q):
         unseen = _undetectable_states(A, weights.Q)
         if unseen.size:

@@ -34,6 +34,11 @@ PLANT_MODES = ("nonlinear", "linear")
 DEFAULT_DURATION = 15.0
 DEFAULT_DT = 1e-3
 
+# Largest duration/dt a Scenario accepts.  The grid holds 17 floats per
+# sample, so 10**7 steps already take 1.4 GB; a longer grid is refused
+# before any memory is allocated or any step is run.
+MAX_STEPS = 10**7
+
 # Settling band of compute_metrics, as a fraction of the step magnitude.
 SETTLING_BAND = 0.02
 
@@ -80,6 +85,11 @@ class Scenario:
             raise ValueError(
                 f"dt={self.dt} too coarse for duration={self.duration} "
                 "(need dt <= duration/100)"
+            )
+        if self.duration / self.dt > MAX_STEPS:
+            raise ValueError(
+                f"duration={self.duration} over dt={self.dt} is more than "
+                f"{MAX_STEPS} steps"
             )
         if self.plant_mode not in PLANT_MODES:
             raise ValueError(f"plant_mode must be one of {PLANT_MODES}")

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quadctrl
 from quadctrl.cli import (
@@ -105,6 +107,47 @@ class TestParseConfig:
             parse_config('{"sim": {"plant": "exact"}}')
         with pytest.raises(ValueError, match="outer_decimation"):
             parse_config('{"pid": {"outer_decimation": 0}}')
+
+    # One fault per document, one document per kind of fault; the
+    # messages are part of the CLI's output and are pinned byte for byte.
+    @pytest.mark.parametrize("document, kind, message", [
+        ('[]', SchemaError, "config: expected an object, got list"),
+        ('{"params": {"weight": 2}}', SchemaError, "params.weight: unknown key"),
+        ('{"pid": {"thrust": {"x": 1}}}', SchemaError, "pid.thrust.x: unknown key"),
+        ('{"params": []}', SchemaError, "params: expected an object, got list"),
+        ('{"pid": {"thrust": 3}}', SchemaError, "pid.thrust: expected an object, got int"),
+        ('{"params": {"m": "heavy"}}', ValueError,
+         "params.m: expected a number, got 'heavy'"),
+        ('{"sim": {"dt": false}}', ValueError, "sim.dt: expected a number, got False"),
+        ('{"lqr": {"q_diag": [1, 2, 3]}}', ValueError,
+         "lqr.q_diag: expected 12 numbers, got [1, 2, 3]"),
+        ('{"lqr": {"r_diag": [1, true, 1, 1]}}', ValueError,
+         "lqr.r_diag: expected 4 numbers, got [1, True, 1, 1]"),
+        ('{"lqr": {"r_diag": [1, NaN, 1, 1]}}', ValueError,
+         "lqr.r_diag[1]: expected a finite number"),
+        ('{"case": {"id": 7}}', ValueError, "case.id: case_id must be 1, 2 or 3, got 7"),
+        ('{"case": {"id": "1"}}', ValueError, "case.id: expected an integer, got '1'"),
+        ('{"pid": {"outer_decimation": 0}}', ValueError,
+         "pid.outer_decimation: expected an integer >= 1, got 0"),
+        ('{"pid": {"outer_decimation": 2.0}}', ValueError,
+         "pid.outer_decimation: expected an integer >= 1, got 2.0"),
+        ('{"pid": {"gravity_feedforward": 1}}', ValueError,
+         "pid.gravity_feedforward: expected true/false, got 1"),
+        ('{"sim": {"plant": "x"}}', ValueError,
+         "sim.plant: expected one of ('nonlinear', 'linear'), got 'x'"),
+        ('{"params": {"m": -1}}', ValueError,
+         "params: mass must be strictly positive, got -1.0"),
+        ('{"lqr": {"r_diag": [1, 0.001, 0.001, 0]}}', ValueError,
+         "lqr: R must be positive definite"),
+    ], ids=["root-list", "unknown-key", "unknown-gain", "section-list", "loop-int",
+            "string-number", "bool-number", "short-vector", "bool-entry", "nan-entry",
+            "case-7", "case-string", "decimation-0", "decimation-float", "flag-int",
+            "plant-x", "negative-mass", "singular-r"])
+    def test_refusal_messages(self, document, kind, message):
+        with pytest.raises(kind) as info:
+            parse_config(document)
+        assert type(info.value) is kind
+        assert str(info.value) == message
 
 
 class TestCmdRun:
@@ -264,6 +307,22 @@ class TestMainEntry:
             assert main(["--config", str(cfg), *command]) == 1
             err = capsys.readouterr().err
             assert err == f"config error: {path}: expected a finite number\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("document, message", [
+        ('{"sim": {"t_final": 1e308}}', "duration=1e+308 over dt=0.001"),
+        ('{"sim": {"t_final": 1e9}}', "duration=1000000000.0 over dt=0.001"),
+        ('{"sim": {"dt": 1e-300}}', "duration=15.0 over dt=1e-300"),
+    ], ids=["t_final-1e308", "t_final-1e9", "dt-1e-300"])
+    def test_hopeless_grid_exits_one(self, tmp_path, capsys, document, message):
+        # refused before the grid is allocated or a step is run
+        cfg = tmp_path / "config.json"
+        cfg.write_text(document)
+        for command in (["gain"], ["run", "--controller", "pid", "--out", str(tmp_path / "out")]):
+            assert main(["--config", str(cfg), *command]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"config error: sim: {message} is more than 10000000 steps\n"
         assert not (tmp_path / "out").exists()
 
     def test_import_leaves_unused_scipy_out(self):
@@ -430,3 +489,24 @@ class TestConfigSurface:
         cfg.write_text(json.dumps(document))
         assert main(["--config", str(cfg), "gain"]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+# Any JSON value: what a config document can hold at a leaf.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=13)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=13,
+)
+
+
+class TestConfigSchemaProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(path=st.sampled_from(list(leaf_paths(DEFAULT_DOCUMENT))), value=JSON_VALUES)
+    def test_any_leaf_value_parses_or_names_its_section(self, path, value):
+        document = copy.deepcopy(DEFAULT_DOCUMENT)
+        lookup(document, path[:-1])[path[-1]] = value
+        try:
+            parse_config(json.dumps(document))
+        except ValueError as exc:  # SchemaError included
+            assert str(exc).startswith(path[0]), (path, value, exc)

@@ -257,6 +257,13 @@ class TestSolveCare:
         with pytest.raises(ValueError, match="method"):
             solve_care(hover_ss.A, hover_ss.B, default_weights, method="qz")
 
+    def test_one_dimensional_input_matrix_rejected(self):
+        # B is one column per input; a bare vector is refused, not reshaped
+        weights = LqrWeights(Q=np.eye(1), R=np.eye(1))
+        for solve in (solve_care, lqr_gain):
+            with pytest.raises(ValueError, match="incompatible shapes"):
+                solve(np.array([[1.0]]), np.array([1.0]), weights)
+
 
 def hamiltonian_gain(A, B, weights):
     S = solve_care(A, B, weights, method="hamiltonian").S

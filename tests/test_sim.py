@@ -320,6 +320,11 @@ class TestScenarioCase:
                 scenario_case(1, duration=duration, dt=dt)
         with pytest.raises(ValueError, match="plant_mode"):
             scenario_case(1, plant_mode="hybrid")
+        # a grid past MAX_STEPS is refused before anything is allocated
+        for duration, dt in ((1e308, 1e-3), (1e9, 1e-3), (15.0, 1e-300)):
+            with pytest.raises(ValueError, match="more than 10000000 steps"):
+                scenario_case(1, duration=duration, dt=dt)
+        assert scenario_case(1, duration=1e4, dt=1e-3).sample_count == 10**7 + 1
 
 
 class TestRunClosedLoop:

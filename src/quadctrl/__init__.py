@@ -7,14 +7,7 @@ fixed-step closed-loop benchmark scenarios with step-response metrics.
 """
 
 from .linearize import StateSpace, hover_jacobians, numeric_jacobians
-from .model import (
-    InfeasibleMix,
-    QuadrotorParams,
-    dynamics,
-    hover_equilibrium,
-    rotor_mix,
-    rotor_unmix,
-)
+from .model import QuadrotorParams, dynamics, hover_equilibrium
 from .pid import (
     CascadeConfig,
     CascadeMemory,
@@ -58,7 +51,6 @@ __all__ = [
     "CascadeMemory",
     "DEFAULT_Q_DIAGONAL",
     "DEFAULT_R_DIAGONAL",
-    "InfeasibleMix",
     "LqrController",
     "LqrWeights",
     "Metrics",
@@ -84,8 +76,6 @@ __all__ = [
     "numeric_jacobians",
     "pid_step",
     "rk4_step",
-    "rotor_mix",
-    "rotor_unmix",
     "run_closed_loop",
     "scenario_case",
     "solve_care",

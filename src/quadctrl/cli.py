@@ -7,11 +7,11 @@ PID gains, LQR weight diagonals, benchmark case 1).  :func:`_defaults`
 builds the full document at those defaults: its keys are the accepted
 keys, and each default's type is the type a value must have.
 
-Every key can change the output of some command.  The commands drive the
-generalized inputs u1..u4 directly, so the rotor-mixer constants (arm
-length, thrust and drag factors) are not part of the document.
-Unknown keys and non-finite numbers (JSON's NaN and Infinity) are
-rejected with their full path.  trajectory.csv and the matrices of
+Every key can change the output of some command, and the ``params``
+keys name exactly the fields of :class:`QuadrotorParams`.  Unknown keys
+and non-finite numbers (JSON's NaN and Infinity) are rejected with their
+full path, and so is a ``case.x0`` whose pitch lies outside the
+nonlinear plant's domain.  trajectory.csv and the matrices of
 ``linearize`` and ``gain`` carry 17 significant digits; the JSON
 artifacts carry each float's shortest repr that reads back to the same
 value.  Outputs use Unix newlines, so repeated runs of the same config
@@ -212,6 +212,8 @@ def parse_config(text: str) -> RunConfig:
             dt=grid["dt"],
             plant_mode=grid["plant"],
         )
+    except sim.InitialThetaOutOfRange as exc:
+        raise ValueError(f"case.x0: {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"sim: {exc}") from exc
     return RunConfig(params=params, cascade=cascade, weights=weights, scenario=scenario)

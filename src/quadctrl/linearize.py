@@ -63,7 +63,7 @@ def numeric_jacobians(params: QuadrotorParams,
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    state0, u0, _ = model.hover_equilibrium(params)
+    state0, u0 = model.hover_equilibrium(params)
 
     A = np.zeros((model.STATE_DIM, model.STATE_DIM))
     for j in range(model.STATE_DIM):

@@ -159,7 +159,8 @@ def cascade_step(
     positive y error demands negative roll (lateral acceleration is
     -g*phi) while a positive x error demands positive pitch (+g*theta),
     so the pitch outer loop consumes the negated error to keep one
-    shared gain sign for both axes.
+    shared gain sign for both axes.  The yaw loop takes the heading
+    error through :func:`model.wrap_heading_error`.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -180,5 +181,6 @@ def cascade_step(
                   memory.phi_ref - state[model.PHI], dt)
     u3 = pid_step(config.pitch_inner, memory.pitch_inner,
                   memory.theta_ref - state[model.THETA], dt)
-    u4 = pid_step(config.yaw, memory.yaw, references.psi_ref - state[model.PSI], dt)
+    u4 = pid_step(config.yaw, memory.yaw,
+                  model.wrap_heading_error(references.psi_ref - state[model.PSI]), dt)
     return [thrust_ff + u1, u2, u3, u4]

@@ -393,8 +393,12 @@ def feedback_control(
 ) -> np.ndarray:
     """Control law u = u_eq - K (state - reference).
 
-    ``state`` may be any float sequence; ``reference`` and
-    ``u_equilibrium`` are float arrays.  ``K @`` stays a BLAS matvec: a
+    ``state`` may be any float sequence of the 12 states; ``reference``
+    and ``u_equilibrium`` are float arrays.  The psi component of the
+    deviation is a heading error, wrapped by
+    :func:`model.wrap_heading_error`.  ``K @`` stays a BLAS matvec: a
     Python dot product sums in another order and moves the last bits.
     """
-    return u_equilibrium - K @ np.subtract(state, reference)
+    deviation = np.subtract(state, reference)
+    deviation[model.PSI] = model.wrap_heading_error(deviation[model.PSI])
+    return u_equilibrium - K @ deviation

@@ -54,6 +54,10 @@ class ThetaOutOfRange(RuntimeError):
     """Pitch angle reached the singular bound of the model."""
 
 
+class InitialThetaOutOfRange(ValueError):
+    """Initial pitch outside the domain of the nonlinear plant."""
+
+
 class UnknownCase(ValueError):
     """Benchmark case id outside {1, 2, 3}."""
 
@@ -64,7 +68,12 @@ class ChannelUnknown(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """One closed-loop run: initial state, references, grid, plant mode."""
+    """One closed-loop run: initial state, references, grid, plant mode.
+
+    On the nonlinear plant the initial pitch must lie inside
+    ``model.THETA_LIMIT``, the bound every later step is held to; the
+    linear plant has no such bound.
+    """
 
     initial_state: np.ndarray
     references: Setpoints
@@ -93,6 +102,12 @@ class Scenario:
             )
         if self.plant_mode not in PLANT_MODES:
             raise ValueError(f"plant_mode must be one of {PLANT_MODES}")
+        theta = float(state[model.THETA])
+        if self.plant_mode == "nonlinear" and abs(theta) >= model.THETA_LIMIT:
+            raise InitialThetaOutOfRange(
+                f"theta={theta!r} is outside the nonlinear plant's domain "
+                f"|theta| < {model.THETA_LIMIT!r}"
+            )
 
     @property
     def sample_count(self) -> int:
@@ -205,7 +220,7 @@ class LqrController:
 
     def __init__(self, K: np.ndarray, params: QuadrotorParams):
         self.K = np.asarray(K, dtype=float)
-        _, self.u_equilibrium, _ = model.hover_equilibrium(params)
+        _, self.u_equilibrium = model.hover_equilibrium(params)
         # (Setpoints, its reference state), replaced whole so that runs
         # sharing this controller never pair one with the other's x_ref
         self._x_ref = (None, None)
@@ -257,7 +272,7 @@ def run_closed_loop(scenario: Scenario, controller, params: QuadrotorParams) -> 
 
     if scenario.plant_mode == "linear":
         ss = hover_jacobians(params)
-        _, u_eq, _ = model.hover_equilibrium(params)
+        _, u_eq = model.hover_equilibrium(params)
 
         def derivative(s, u):
             return (ss.A @ np.asarray(s) + ss.B @ (np.asarray(u) - u_eq)).tolist()

@@ -160,9 +160,7 @@ def test_criterion_4_jacobian_oracle(bench_params):
         for _ in range(20):
             jitter = lambda v: v * rng.uniform(0.5, 1.5)
             check(QuadrotorParams(
-                mass=jitter(1.0), arm_length=jitter(0.225),
-                thrust_factor=jitter(9.8e-6), drag_factor=jitter(1.6e-7),
-                inertia_xx=jitter(0.0035), inertia_yy=jitter(0.0035),
+                mass=jitter(1.0), inertia_xx=jitter(0.0035), inertia_yy=jitter(0.0035),
                 inertia_zz=jitter(0.005)))
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import quadctrl
 from quadctrl.cli import (
+    _PARAM_KEYS,
     CSV_BLOCK,
     TRAJECTORY_HEADER,
     SchemaError,
@@ -40,7 +41,7 @@ class TestParseConfig:
     def test_empty_document_gives_defaults(self):
         config = parse_config("{}")
         assert config.params.mass == 1.0
-        assert config.params.thrust_factor == 9.8e-6
+        assert config.params == quadctrl.QuadrotorParams()
         assert config.cascade.thrust.kp == 9.09
         assert np.array_equal(np.diag(config.weights.R), [1.0, 0.001, 0.001, 0.001])
         assert config.scenario.references == Setpoints(z_ref=1.0)
@@ -325,6 +326,22 @@ class TestMainEntry:
             assert captured.err == f"config error: sim: {message} is more than 10000000 steps\n"
         assert not (tmp_path / "out").exists()
 
+    def test_initial_pitch_outside_domain_exits_one(self, tmp_path, capsys):
+        # row 0 of trajectory.csv would lie outside the nonlinear model
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"case": {"x0": [0, 0, 0, 0, 1.6] + [0] * 7}}))
+        for command in (["gain"], ["run", "--controller", "pid", "--out", str(tmp_path / "out")]):
+            assert main(["--config", str(cfg), *command]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "config error: case.x0: theta=1.6 is outside the nonlinear plant's "
+                "domain |theta| < 1.5707953267948966\n")
+        assert not (tmp_path / "out").exists()
+        linear = {"case": {"x0": [0, 0, 0, 0, 1.6] + [0] * 7}, "sim": {"plant": "linear"}}
+        cfg.write_text(json.dumps(linear))
+        assert main(["--config", str(cfg), "gain"]) == 0
+
     def test_import_leaves_unused_scipy_out(self):
         # scipy.integrate alone pulled in special, optimize, sparse,
         # spatial and fft: most of the CLI's start-up time
@@ -453,6 +470,11 @@ class TestConfigSurface:
             from_document = capsys.readouterr().out
             command(parse_config("{}"))
             assert capsys.readouterr().out == from_document
+
+    def test_params_keys_are_the_vehicle_fields(self):
+        # no vehicle constant exists that the document cannot set
+        fields = [f.name for f in dataclasses.fields(quadctrl.QuadrotorParams)]
+        assert fields == list(_PARAM_KEYS.values())
 
     def test_leaf_key_count(self):
         assert len(list(leaf_paths(DEFAULT_DOCUMENT))) == 36

@@ -13,9 +13,6 @@ def random_params(rng):
     scale = lambda v: v * rng.uniform(0.5, 1.5)
     return QuadrotorParams(
         mass=scale(base.mass),
-        arm_length=scale(base.arm_length),
-        thrust_factor=scale(base.thrust_factor),
-        drag_factor=scale(base.drag_factor),
         inertia_xx=scale(base.inertia_xx),
         inertia_yy=scale(base.inertia_yy),
         inertia_zz=scale(base.inertia_zz),

@@ -22,9 +22,9 @@ from quadctrl import (
     scenario_case,
     solve_care,
 )
-from quadctrl.model import PHI, PSI, THETA, X, Y, Z, wrap_angle
+from quadctrl.model import PHI, PSI, THETA, THETA_LIMIT, X, Y, Z, wrap_angle
 from quadctrl.pid import ANGLE_LIMIT, CascadeMemory, pid_step
-from quadctrl.sim import UnknownCase
+from quadctrl.sim import InitialThetaOutOfRange, UnknownCase
 
 ZERO_GAINS = PidGains(kp=0.0, ki=0.0, kd=0.0)
 
@@ -217,7 +217,7 @@ class NdarrayLqr:
 
     def __init__(self, K, params):
         self.K = K
-        _, self.u_equilibrium, _ = hover_equilibrium(params)
+        _, self.u_equilibrium = hover_equilibrium(params)
 
     def reset(self):
         pass
@@ -254,7 +254,7 @@ class TestFloatPathOracle:
         states, controls = ndarray_run(sc, NdarrayLqr(default_gain, params), params)
         trajectory = run_closed_loop(sc, LqrController(default_gain, params), params)
         assert sc.sample_count == 4001
-        _, u_eq, _ = hover_equilibrium(params)
+        _, u_eq = hover_equilibrium(params)
         assert np.all(np.abs(controls - u_eq).min(axis=0) > 0.0)
         assert np.array_equal(trajectory.states, states)
         assert np.array_equal(trajectory.controls, controls)
@@ -277,6 +277,19 @@ class TestControllerOutput:
                  for refs in (first, second)]
         assert outputs == [fresh[0], fresh[1], fresh[0], fresh[0]]
         assert fresh[0] != fresh[1]
+
+    def test_lqr_heading_error_wraps_across_pi(self, params, default_gain):
+        # psi and psi_ref on either side of +-pi are a small error apart
+        controller = LqrController(default_gain, params)
+        small = 6.2 - 2.0 * math.pi
+        for psi, psi_ref, error in ((3.1, -3.1, small), (-3.1, 3.1, -small)):
+            state = [0.0] * 12
+            state[PSI] = psi
+            equivalent = [0.0] * 12
+            equivalent[PSI] = error
+            u = controller.control(state, Setpoints(psi_ref=psi_ref), 0.001)
+            assert u == pytest.approx(
+                controller.control(equivalent, Setpoints(), 0.001), rel=1e-12)
 
 
 class TestScenarioCase:
@@ -325,6 +338,14 @@ class TestScenarioCase:
             with pytest.raises(ValueError, match="more than 10000000 steps"):
                 scenario_case(1, duration=duration, dt=dt)
         assert scenario_case(1, duration=1e4, dt=1e-3).sample_count == 10**7 + 1
+        # the nonlinear plant is defined only for |theta| < THETA_LIMIT
+        for theta in (1.6, -THETA_LIMIT):
+            start = np.zeros(12)
+            start[THETA] = theta
+            with pytest.raises(InitialThetaOutOfRange, match="theta"):
+                scenario_case(1, initial_state=start)
+            assert scenario_case(1, initial_state=start,
+                                 plant_mode="linear").initial_state[THETA] == theta
 
 
 class TestRunClosedLoop:
@@ -374,6 +395,18 @@ class TestRunClosedLoop:
         with pytest.raises(ThetaOutOfRange):
             run_closed_loop(sc, zero_gain_controller(params), params)
 
+    def test_pid_heading_near_pi_settles(self, params):
+        # psi overshoots past pi and is wrapped to -pi; an unwrapped
+        # heading error then jumps by 2 pi and spins the vehicle up
+        sc = scenario_case(3, references=Setpoints(z_ref=1.0, psi_ref=3.1))
+        trajectory = run_closed_loop(sc, PidCascadeController(CascadeConfig(), params),
+                                     params)
+        assert trajectory.states[:, PSI].min() < -3.1
+        psi = compute_metrics(trajectory, "psi", 3.1)
+        assert psi.settled
+        assert psi.steady_state_value == pytest.approx(3.1, abs=0.01)
+        assert abs(trajectory.states[-1, 11]) < 0.01
+
     def test_linear_mode_matches_nonlinear_near_hover(self, params, default_gain):
         controller = LqrController(default_gain, params)
         start = np.zeros(12)
@@ -407,7 +440,7 @@ class TestRunCost:
         # case 2 excites the stiff attitude modes, so use the fine grid
         sc = scenario_case(2, duration=3.0, dt=5e-5, plant_mode="linear")
         trajectory = run_closed_loop(sc, LqrController(default_gain, params), params)
-        _, u_hover, _ = hover_equilibrium(params)
+        _, u_hover = hover_equilibrium(params)
         x, u = trajectory.states, trajectory.controls - u_hover
         integrand = (np.einsum("ij,jk,ik->i", x, default_weights.Q, x)
                      + np.einsum("ij,jk,ik->i", u, default_weights.R, u))

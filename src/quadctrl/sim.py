@@ -7,9 +7,13 @@ stability metrics used to compare controllers: steady state, overshoot,
 settling time and the count of overshoot peaks outside the settling
 band.
 
-Between steps the state is a list of 12 Python floats: :func:`rk4_step`,
-the nonlinear plant and both controllers take float sequences and
-return lists.  The scalar code evaluates in the same order as array
+Between steps the state is a list of 12 Python floats: the integrators
+and both controllers take float sequences and return lists.  The
+nonlinear plant steps through ``model.step``, one RK4 step of
+``model.dynamics`` on local floats; the linear plant through the
+generic :func:`rk4_step`.  On the nonlinear plant phi and psi of the
+initial state are wrapped into [-pi, pi) before the first step, and
+after every step.  The scalar code evaluates in the same order as array
 arithmetic and the LQR keeps its BLAS matvec, so the bits match an
 ndarray run.  A controller is any object with ``reset()`` and
 ``control(state, references, dt)`` returning u as a list of 4 floats.
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import model, riccati
 from .linearize import hover_jacobians
-from .model import QuadrotorParams
+from .model import NonFiniteState, QuadrotorParams
 from .pid import CascadeConfig, CascadeMemory, Setpoints, cascade_step
 
 PLANT_MODES = ("nonlinear", "linear")
@@ -44,10 +48,6 @@ SETTLING_BAND = 0.02
 
 CASE2_INITIAL_STATE = (1.0, 1.0, 0.2, 1.0, 1.0, 0.0,
                        1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-
-
-class NonFiniteState(RuntimeError):
-    """A state component became non-finite (simulation diverged)."""
 
 
 class ThetaOutOfRange(RuntimeError):
@@ -262,7 +262,8 @@ def run_closed_loop(scenario: Scenario, controller, params: QuadrotorParams) -> 
     The controller is reset first, then stepped once per grid interval;
     the control computed at each sample is held across the following
     RK4 step.  In nonlinear mode phi and psi are wrapped into [-pi, pi)
-    after every step and exceeding the pitch bound raises
+    in the initial state (an angle already in range keeps its bits) and
+    after every step, and exceeding the pitch bound raises
     :class:`ThetaOutOfRange`; the linear plant needs neither.
     """
     n_steps = scenario.sample_count - 1
@@ -270,31 +271,32 @@ def run_closed_loop(scenario: Scenario, controller, params: QuadrotorParams) -> 
     states = np.empty((scenario.sample_count, model.STATE_DIM))
     controls = np.empty((scenario.sample_count, model.INPUT_DIM))
 
-    if scenario.plant_mode == "linear":
+    nonlinear = scenario.plant_mode == "nonlinear"
+    if not nonlinear:
         ss = hover_jacobians(params)
         _, u_eq = model.hover_equilibrium(params)
 
         def derivative(s, u):
             return (ss.A @ np.asarray(s) + ss.B @ (np.asarray(u) - u_eq)).tolist()
-    else:
-        def derivative(s, u):
-            return model.dynamics(s, u, params)
 
     controller.reset()
     state = scenario.initial_state.tolist()
+    if nonlinear:
+        for angle in (model.PHI, model.PSI):
+            state[angle] = model.wrap_heading_error(state[angle])
     states[0] = state
-    nonlinear = scenario.plant_mode == "nonlinear"
     for i in range(n_steps):
         u = controller.control(state, scenario.references, scenario.dt)
         controls[i] = u
-        state = rk4_step(derivative, state, u, scenario.dt)
         if nonlinear:
-            state = model.normalize_state(state)
+            state = model.step(state, u, scenario.dt, params)
             if abs(state[model.THETA]) >= model.THETA_LIMIT:
                 raise ThetaOutOfRange(
                     f"|theta| reached {abs(state[model.THETA]):.4f} rad "
                     f"at t={times[i + 1]:.4f} s"
                 )
+        else:
+            state = rk4_step(derivative, state, u, scenario.dt)
         states[i + 1] = state
     # control at the final sample, so every row carries its input
     controls[n_steps] = controller.control(state, scenario.references, scenario.dt)
@@ -308,9 +310,13 @@ def compute_metrics(trajectory: Trajectory, channel: str, reference: float) -> M
     settling band is ``SETTLING_BAND`` times the step magnitude around
     the steady state, with an absolute floor of 0.02 for regulation to a
     zero reference (where the relative band would collapse as the step
-    does).
+    does).  phi and psi are measured on the unwrapped angle when two
+    adjacent samples jump by more than pi, so a heading that crosses
+    +-pi is not clipped there; an angle that never jumps keeps its bits.
     """
     y = trajectory.channel(channel)
+    if channel in ("phi", "psi") and np.any(np.abs(np.diff(y)) > math.pi):
+        y = np.unwrap(y)
     times = trajectory.times
     n = y.shape[0]
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadctrl import (
     CascadeConfig,
@@ -11,6 +13,7 @@ from quadctrl import (
     NonFiniteState,
     PidCascadeController,
     PidGains,
+    QuadrotorParams,
     Setpoints,
     ThetaOutOfRange,
     Trajectory,
@@ -22,9 +25,10 @@ from quadctrl import (
     scenario_case,
     solve_care,
 )
-from quadctrl.model import PHI, PSI, THETA, THETA_LIMIT, X, Y, Z, wrap_angle
+from quadctrl.model import (PHI, PSI, THETA, THETA_LIMIT, X, XDOT, Y, Z,
+                            normalize_state, step, wrap_angle)
 from quadctrl.pid import ANGLE_LIMIT, CascadeMemory, pid_step
-from quadctrl.sim import InitialThetaOutOfRange, UnknownCase
+from quadctrl.sim import CASE2_INITIAL_STATE, InitialThetaOutOfRange, UnknownCase
 
 ZERO_GAINS = PidGains(kp=0.0, ki=0.0, kd=0.0)
 
@@ -112,6 +116,93 @@ class TestRk4Step:
         deriv = lambda s, u: dynamics(s, u, params)
         with pytest.raises(NonFiniteState, match="during an RK4 stage"):
             rk4_step(deriv, state, [9.81, 0.0, 0.0, 0.0], 10.0)
+
+
+def generic_step(state, u, dt, params):
+    """The nonlinear plant step through the generic integrator."""
+    return normalize_state(rk4_step(lambda s, _u: dynamics(s, _u, params), state, u, dt))
+
+
+finite = st.floats(-50.0, 50.0)
+
+
+class TestStepKernel:
+    """model.step must be the generic RK4 step of dynamics plus the
+    phi/psi wrap, bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(state=st.lists(finite, min_size=12, max_size=12),
+           theta=st.floats(-THETA_LIMIT, THETA_LIMIT, exclude_min=True, exclude_max=True),
+           u=st.lists(finite, min_size=4, max_size=4),
+           dt=st.floats(1e-5, 1e-2),
+           params=st.builds(QuadrotorParams, mass=st.floats(0.1, 10.0),
+                            inertia_xx=st.floats(1e-4, 1.0),
+                            inertia_yy=st.floats(1e-4, 1.0),
+                            inertia_zz=st.floats(1e-4, 1.0),
+                            gravity=st.floats(0.1, 30.0)))
+    def test_matches_generic_rk4_step(self, state, theta, u, dt, params):
+        state[THETA] = theta
+        assert step(state, u, dt, params) == generic_step(state, u, dt, params)
+
+    def test_divergence_messages_match_generic_step(self, params):
+        # sin of inf in the second stage, then a velocity sum past the
+        # largest float, which no trig call sees
+        in_stage = [0.0] * 12
+        in_stage[9] = 1e308
+        after_step = [0.0] * 12
+        after_step[X] = after_step[XDOT] = 1e308
+        for state, dt, phase in ((in_stage, 10.0, "during an RK4 stage"),
+                                 (after_step, 1.0, "after an RK4 step")):
+            u = [9.81, 0.0, 0.0, 0.0]
+            with pytest.raises(NonFiniteState, match=phase) as generic:
+                generic_step(state, u, dt, params)
+            with pytest.raises(NonFiniteState, match=phase) as kernel:
+                step(state, u, dt, params)
+            assert str(kernel.value) == str(generic.value)
+
+    def test_stock_lqr_case2_at_1ms_diverges(self, params, default_gain):
+        # the sampled full-state loop is unstable on the 1 ms grid
+        sc = scenario_case(2)
+        with pytest.raises(ThetaOutOfRange) as info:
+            run_closed_loop(sc, LqrController(default_gain, params), params)
+        assert str(info.value) == "|theta| reached 11.3032 rad at t=0.0020 s"
+
+
+class TestInitialWrap:
+    def test_initial_phi_psi_wrapped_on_nonlinear_plant(self, params):
+        start = np.array(CASE2_INITIAL_STATE)
+        start[PHI], start[PSI] = 7.0, -4.0
+        sc = scenario_case(2, initial_state=start, duration=1.0)
+        trajectory = run_closed_loop(sc, PidCascadeController(CascadeConfig(), params),
+                                     params)
+        row0 = trajectory.states[0]
+        assert -math.pi <= row0[PHI] < math.pi
+        assert -math.pi <= row0[PSI] < math.pi
+        assert row0[PHI] == wrap_angle(7.0) and row0[PSI] == wrap_angle(-4.0)
+        # the controller sees the wrapped angles too: the run is the one
+        # that starts there
+        wrapped = start.copy()
+        wrapped[PHI], wrapped[PSI] = row0[PHI], row0[PSI]
+        same = run_closed_loop(scenario_case(2, initial_state=wrapped, duration=1.0),
+                               PidCascadeController(CascadeConfig(), params), params)
+        assert np.array_equal(trajectory.states, same.states)
+        assert np.array_equal(trajectory.controls, same.controls)
+
+    def test_in_range_initial_state_keeps_its_bits(self, params):
+        # wrap_angle(0.2) and wrap_angle(3.1) move the last bits
+        start = np.array(CASE2_INITIAL_STATE)
+        start[PHI], start[PSI] = 0.2, 3.1
+        for initial_state in (CASE2_INITIAL_STATE, start, -start):
+            sc = scenario_case(2, initial_state=np.array(initial_state), duration=0.1)
+            trajectory = run_closed_loop(sc, zero_gain_controller(params), params)
+            assert trajectory.states[0].tolist() == list(initial_state)
+
+    def test_linear_plant_keeps_initial_angles(self, params):
+        start = np.zeros(12)
+        start[PHI] = 7.0
+        sc = scenario_case(2, initial_state=start, duration=1.0, plant_mode="linear")
+        trajectory = run_closed_loop(sc, zero_gain_controller(params), params)
+        assert trajectory.states[0, PHI] == 7.0
 
 
 # The ndarray dynamics, RK4 update and angle wrap that the simulator
@@ -528,6 +619,19 @@ class TestComputeMetrics:
         m = compute_metrics(trajectory, "z", reference=0.0)
         assert not m.settled
         assert m.settling_time is None
+
+    def test_heading_across_pi_measured_unwrapped(self, params):
+        # psi overshoots past pi to about 3.175 and is stored wrapped near
+        # -3.11; the metrics see the overshoot, not a 2 pi excursion
+        sc = scenario_case(3, references=Setpoints(z_ref=1.0, psi_ref=3.1))
+        trajectory = run_closed_loop(sc, PidCascadeController(CascadeConfig(), params),
+                                     params)
+        assert trajectory.states[:, PSI].min() < -3.1
+        assert trajectory.states[:, PSI].max() < math.pi
+        psi = compute_metrics(trajectory, "psi", 3.1)
+        assert psi.overshoot == pytest.approx(0.0238, abs=1e-4)
+        assert psi.settling_time == pytest.approx(1.69, abs=1e-9)
+        assert psi.overshoot_peak_count == 1
 
     def test_unknown_channel_rejected(self):
         times = np.arange(0.0, 1.0, 0.01)

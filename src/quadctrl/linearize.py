@@ -2,9 +2,10 @@
 
 Produces the state-space pair (A, B) of the model linearized about the
 hover equilibrium, both analytically and through a central-difference
-oracle that differentiates the nonlinear dynamics directly.  Inputs of
-the linear model are deviations from hover, i.e. du1 = u1 - m*g and
-du2..du4 = u2..u4.
+oracle that differentiates the nonlinear dynamics directly, and its
+exact zero-order-hold map, the linear plant the simulator steps.
+Inputs of the linear model are deviations from hover, i.e.
+du1 = u1 - m*g and du2..du4 = u2..u4.
 """
 
 from __future__ import annotations
@@ -82,6 +83,29 @@ def numeric_jacobians(params: QuadrotorParams,
         B[:, j] = np.subtract(fp, fm) / (2.0 * eps)
 
     return A, B
+
+
+def zoh(A: np.ndarray, B: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-order-hold map (Phi, Gamma) of dx/dt = A x + B u over dt.
+
+    Sums the exponential series of the Van Loan block
+    M = [[A, B], [0, 0]] dt, whose exponential is [[Phi, Gamma], [0, I]],
+    until a term is exactly zero.  That happens only for a nilpotent A:
+    the hover A has A^4 = 0, so the sum stops after the M^4/4! term and
+    equals both e^{A dt} and one RK4 step with u held.  Any other A
+    raises ValueError.
+    """
+    n, m = np.shape(B)
+    M = np.zeros((n + m, n + m))
+    M[:n, :n] = np.multiply(A, dt)
+    M[:n, n:] = np.multiply(B, dt)
+    total = term = np.eye(n + m)
+    for k in range(1, n + 2):
+        term = term @ M / k
+        if not term.any():
+            return total[:n, :n], total[:n, n:]
+        total = total + term
+    raise ValueError("A is not nilpotent; its exponential series has no last term")
 
 
 def controllability_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:

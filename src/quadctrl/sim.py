@@ -1,17 +1,19 @@
 """Fixed-step closed-loop simulation and step-response metrics.
 
-Runs plant + controller on a uniform grid with a classical RK4
-integrator (control held constant across each step), either against the
-full nonlinear dynamics or the hover-linearized model, and extracts the
-stability metrics used to compare controllers: steady state, overshoot,
-settling time and the count of overshoot peaks outside the settling
-band.
+Runs plant + controller on a uniform grid, control held constant
+across each step, either against the full nonlinear dynamics (one
+classical RK4 step per sample) or the hover-linearized model (its exact
+zero-order-hold map), and extracts the stability metrics used to
+compare controllers: steady state, overshoot, settling time and the
+count of overshoot peaks outside the settling band.
 
-Between steps the state is a list of 12 Python floats: the integrators
-and both controllers take float sequences and return lists.  The
-nonlinear plant steps through ``model.step``, one RK4 step of
-``model.dynamics`` on local floats; the linear plant through the
-generic :func:`rk4_step`.  On the nonlinear plant phi and psi of the
+Between steps the state is a list of 12 Python floats: the plants and
+both controllers take float sequences and return lists.  The nonlinear
+plant steps through ``model.step``, one RK4 step of ``model.dynamics``
+on local floats.  The linear plant is x+ = Phi x + Gamma (u - u_eq),
+with (Phi, Gamma) = ``linearize.zoh`` of the hover pair computed once
+per run; the generic :func:`rk4_step` is kept as the reference both
+plants are tested against.  On the nonlinear plant phi and psi of the
 initial state are wrapped into [-pi, pi) before the first step, and
 after every step.  The scalar code evaluates in the same order as array
 arithmetic and the LQR keeps its BLAS matvec, so the bits match an
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model, riccati
-from .linearize import hover_jacobians
+from .linearize import hover_jacobians, zoh
 from .model import NonFiniteState, QuadrotorParams
 from .pid import CascadeConfig, CascadeMemory, Setpoints, cascade_step
 
@@ -256,12 +258,15 @@ class PidCascadeController:
             self.config, state, references, self._memory, dt, self.params)
 
 
+# A diverging run is reported by the finiteness checks alone, not also
+# by numpy's overflow warnings on the way to inf.
+@np.errstate(over="ignore", invalid="ignore")
 def run_closed_loop(scenario: Scenario, controller, params: QuadrotorParams) -> Trajectory:
     """Simulate controller + plant over the scenario grid.
 
     The controller is reset first, then stepped once per grid interval;
     the control computed at each sample is held across the following
-    RK4 step.  In nonlinear mode phi and psi are wrapped into [-pi, pi)
+    step.  In nonlinear mode phi and psi are wrapped into [-pi, pi)
     in the initial state (an angle already in range keeps its bits) and
     after every step, and exceeding the pitch bound raises
     :class:`ThetaOutOfRange`; the linear plant needs neither.
@@ -274,10 +279,8 @@ def run_closed_loop(scenario: Scenario, controller, params: QuadrotorParams) -> 
     nonlinear = scenario.plant_mode == "nonlinear"
     if not nonlinear:
         ss = hover_jacobians(params)
+        Phi, Gamma = zoh(ss.A, ss.B, scenario.dt)
         _, u_eq = model.hover_equilibrium(params)
-
-        def derivative(s, u):
-            return (ss.A @ np.asarray(s) + ss.B @ (np.asarray(u) - u_eq)).tolist()
 
     controller.reset()
     state = scenario.initial_state.tolist()
@@ -296,7 +299,9 @@ def run_closed_loop(scenario: Scenario, controller, params: QuadrotorParams) -> 
                     f"at t={times[i + 1]:.4f} s"
                 )
         else:
-            state = rk4_step(derivative, state, u, scenario.dt)
+            state = (Phi @ state + Gamma @ np.subtract(u, u_eq)).tolist()
+            if not all(map(math.isfinite, state)):
+                raise NonFiniteState("state became non-finite after an RK4 step")
         states[i + 1] = state
     # control at the final sample, so every row carries its input
     controls[n_steps] = controller.control(state, scenario.references, scenario.dt)

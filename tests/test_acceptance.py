@@ -10,9 +10,10 @@ excite those modes.  The simulator holds u across each step, so the
 closed loop is a sampled-data system: it is stable only while the
 zero-order-hold loop matrix Phi - Gamma K has spectral radius below 1.
 For the benchmark gain that radius is 27.8 at the stock 1 ms and
-0.99995 at dt = 5e-5, so cases 2 and 3 run at dt = 5e-5.  RK4 is not
-the limit: the hover A is nilpotent (A^4 = 0) and u is constant over a
-step, so RK4 integrates the linear plant exactly.  Case 1 leaves the
+0.99995 at dt = 5e-5 (tests/test_linearize.py pins both), so cases 2
+and 3 run at dt = 5e-5.  The integrator is not the limit: the linear
+plant is its exact zero-order-hold map (Phi, Gamma) = linearize.zoh,
+and the radius belongs to the sampled loop itself.  Case 1 leaves the
 stiff channels quiescent and runs on the stock 1 ms grid.
 """
 

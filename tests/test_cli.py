@@ -197,6 +197,25 @@ class TestCmdRun:
             "|theta| reached 11.3032 rad at t=0.0020 s\n")
         assert not (tmp_path / "trajectory.csv").exists()
 
+    def test_linear_divergence_is_one_stderr_line(self, tmp_path):
+        # the continuous LQR on case 2 at 1 ms drives the linear plant
+        # to ~1e305 before a component turns non-finite; numpy's
+        # overflow warnings on the way must not reach stderr
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sim": {"plant": "linear", "t_final": 5.0},
+                                      "case": {"id": 2}}), encoding="utf-8")
+        src = str(Path(quadctrl.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        result = subprocess.run(
+            [sys.executable, "-m", "quadctrl", "--config", str(config),
+             "run", "--controller", "lqr", "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True)
+        assert result.returncode == 2
+        assert result.stderr == ("simulation diverged: NonFiniteState: "
+                                 "state became non-finite after an RK4 step\n")
+        assert not (tmp_path / "out").exists()
+
     def test_pid_run(self, tmp_path):
         config = parse_config(json.dumps(FAST_SIM))
         assert cmd_run(config, "pid", tmp_path) == 0

@@ -27,8 +27,8 @@ GOLDEN = {
 PID_CONFIG = {"sim": {"plant": "linear", "t_final": 2.0},
               "case": {"id": 3, "x_ref": 1.0, "y_ref": -1.0}}
 PID_GOLDEN = {
-    "trajectory.csv": "2f5a8a1ce1be9784058b3671f19c692338487ac50959bbdb6332378f86850a40",
-    "metrics.json": "8288b524e75bf1786bb54542b12347ca06214e5dadb1641e48b0ea9f16ddee97",
+    "trajectory.csv": "0c3a869c89e8c03efb6e13c2188e6915e53f67a98eb24e44e35eb2e854062ef9",
+    "metrics.json": "c3a0aef87803c32828f2d716561d7898a1b25b217941f3152850a54b33d7893d",
 }
 
 

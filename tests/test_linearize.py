@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from quadctrl import QuadrotorParams, hover_jacobians, numeric_jacobians
-from quadctrl.linearize import controllability_matrix, is_controllable
+from quadctrl import (
+    QuadrotorParams,
+    hover_equilibrium,
+    hover_jacobians,
+    numeric_jacobians,
+    rk4_step,
+)
+from quadctrl.linearize import controllability_matrix, is_controllable, zoh
+from quadctrl.model import Z, ZDOT
 
 
 def random_params(rng):
@@ -84,3 +92,69 @@ class TestControllability:
         A = np.diag([1.0, 2.0])
         B = np.array([[1.0], [0.0]])
         assert not is_controllable(A, B)
+
+
+def van_loan_expm(A, B, dt):
+    """(Phi, Gamma) from scipy's expm of the Van Loan block."""
+    n, m = B.shape
+    block = np.zeros((n + m, n + m))
+    block[:n, :n] = A * dt
+    block[:n, n:] = B * dt
+    exact = expm(block)
+    return exact[:n, :n], exact[:n, n:]
+
+
+class TestZoh:
+    @pytest.mark.parametrize("dt", [5e-5, 1e-3, 1e-2])
+    def test_matches_expm_of_van_loan_block(self, hover_ss, rng, dt):
+        systems = [hover_ss] + [hover_jacobians(random_params(rng)) for _ in range(5)]
+        for ss in systems:
+            Phi, Gamma = zoh(ss.A, ss.B, dt)
+            Phi_ref, Gamma_ref = van_loan_expm(ss.A, ss.B, dt)
+            np.testing.assert_allclose(Phi, Phi_ref, rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(Gamma, Gamma_ref, rtol=0.0, atol=1e-15)
+
+    def test_one_step_equals_rk4_on_linear_derivative(self, rng):
+        # A^4 = 0 and u is held, so one RK4 step is the exact map
+        for _ in range(5):
+            params = random_params(rng)
+            ss = hover_jacobians(params)
+            assert not np.linalg.matrix_power(ss.A, 4).any()
+            _, u_eq = hover_equilibrium(params)
+
+            def derivative(s, u):
+                return (ss.A @ np.asarray(s) + ss.B @ (np.asarray(u) - u_eq)).tolist()
+
+            dt = rng.choice([5e-5, 1e-3, 1e-2])
+            Phi, Gamma = zoh(ss.A, ss.B, dt)
+            for _ in range(10):
+                state = rng.normal(scale=2.0, size=12)
+                u = u_eq + rng.normal(scale=5.0, size=4)
+                expected = np.array(rk4_step(derivative, state.tolist(), u.tolist(), dt))
+                step = Phi @ state + Gamma @ (u - u_eq)
+                np.testing.assert_allclose(step, expected, rtol=1e-12,
+                                           atol=1e-12 * np.abs(expected).max())
+
+    def test_refuses_non_nilpotent_a(self, hover_ss):
+        A = hover_ss.A.copy()
+        A[ZDOT, Z] = -1.0   # a spring on altitude: z oscillates, A^k never vanishes
+        with pytest.raises(ValueError, match="not nilpotent"):
+            zoh(A, hover_ss.B, 1e-3)
+
+
+class TestSampledLoopRadius:
+    """Spectral radius of Phi - Gamma K for the stock gain.
+
+    These are the figures the README's numerical notes and the
+    acceptance suite's STIFF_DT quote (27.8, 1.86 and 0.99995).
+    """
+
+    @pytest.mark.parametrize("dt, radius, tol", [
+        (1e-3, 27.795, 5e-4),
+        (1e-4, 1.8594, 5e-5),
+        (5e-5, 0.999946, 5e-7),
+    ])
+    def test_stock_gain(self, hover_ss, default_gain, dt, radius, tol):
+        Phi, Gamma = zoh(hover_ss.A, hover_ss.B, dt)
+        rho = np.max(np.abs(np.linalg.eigvals(Phi - Gamma @ default_gain)))
+        assert rho == pytest.approx(radius, abs=tol)

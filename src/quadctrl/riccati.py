@@ -24,12 +24,14 @@ tolerance and S is assembled with exact zeros between blocks; the
 assembled residual is checked against the full-system tolerance.
 
 Lyapunov equations are solved as one n^2 x n^2 linear system, the
-Kronecker sum I kron F' + F' kron I, by a single LU factorization that
-also serves the iterative-refinement sweeps.  That costs O(n^6) time
-and O(n^4) memory: microseconds for the hover blocks (n <= 4) and fine
-up to n of about 20.  An eigenvector-based solver on the associated
-2n x 2n Hamiltonian matrix is available as an independent cross-check
-(``method="hamiltonian"``); it always solves the whole system.
+Kronecker sum I kron F' + F' kron I, built once and handed to
+``np.linalg.solve`` for the first solve and for each of up to three
+iterative-refinement sweeps.  Each solve costs O(n^6) time and O(n^4)
+memory: microseconds for the hover blocks (n <= 4) and fine up to n of
+about 20.  An eigenvector-based solver on the associated 2n x 2n
+Hamiltonian matrix is available as an independent cross-check
+(``method="hamiltonian"``); it always solves the whole system.  The
+module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, schur
 
 from . import model
 from .linearize import controllability_matrix, is_controllable
@@ -73,17 +74,21 @@ class NoConvergence(RuntimeError):
 
 @dataclass(frozen=True)
 class LqrWeights:
-    """State weight Q (symmetric PSD) and input weight R (symmetric PD)."""
+    """State weight Q (symmetric PSD) and input weight R (symmetric PD).
+
+    Both are stored as read-only copies, so the checks below keep holding.
+    """
 
     Q: np.ndarray
     R: np.ndarray
 
     def __post_init__(self) -> None:
-        Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
-        R = np.atleast_2d(np.asarray(self.R, dtype=float))
+        Q = np.atleast_2d(np.array(self.Q, dtype=float))
+        R = np.atleast_2d(np.array(self.R, dtype=float))
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "R", R)
         for name, M in (("Q", Q), ("R", R)):
+            M.setflags(write=False)
             if M.ndim != 2 or M.shape[0] != M.shape[1]:
                 raise ValueError(f"{name} must be square, got shape {M.shape}")
             if not np.allclose(M, M.T, rtol=0.0, atol=1e-10 * max(1.0, float(np.abs(M).max()))):
@@ -112,10 +117,11 @@ def solve_lyapunov(F: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Solve F' X + X F + C = 0 for symmetric C and stable F.
 
     With column-major stacking, vec(F' X + X F) = (I kron F' + F' kron I)
-    vec(X), so the equation is one n^2 x n^2 linear system.  Its LU
-    factor is computed once and reused by a few iterative-refinement
-    sweeps that push the defect down to roundoff even for
-    ill-conditioned spectra.
+    vec(X), so the equation is one n^2 x n^2 linear system.  It is
+    solved once, then by a few iterative-refinement sweeps on the same
+    matrix that push the defect down to roundoff even for
+    ill-conditioned spectra.  A singular Kronecker sum (F and -F share
+    an eigenvalue) raises ``np.linalg.LinAlgError``, a ``ValueError``.
     """
     F = np.asarray(F, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -130,11 +136,11 @@ def solve_lyapunov(F: np.ndarray, C: np.ndarray) -> np.ndarray:
     kron_sum = np.zeros((n, n, n, n))
     kron_sum[index, :, index, :] = F.T
     kron_sum[:, index, :, index] += F.T
-    factor = lu_factor(kron_sum.reshape(n * n, n * n))
+    kron_sum = kron_sum.reshape(n * n, n * n)
 
     def solve(D: np.ndarray) -> np.ndarray:
         """Y with F' Y + Y F = -D, symmetrized."""
-        Y = lu_solve(factor, -D.ravel(order="F")).reshape((n, n), order="F")
+        Y = np.linalg.solve(kron_sum, -D.ravel(order="F")).reshape((n, n), order="F")
         return 0.5 * (Y + Y.T)
 
     X = solve(C)
@@ -369,8 +375,11 @@ def _undetectable_states(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     The unobservable subspace of (A, Q) is the null space of the
     observability matrix [Q; Q A; ...; Q A^(n-1)], the transpose of the
     controllability matrix of (A', Q).  It is A-invariant, so A
-    restricted to it is N' A N for an orthonormal basis N; its Schur
-    form, sorted, splits off the modes that are not strictly stable.
+    restricted to it is A_u = N' A N for an orthonormal basis N.  The
+    product of (A_u - lambda I) over the strictly stable eigenvalues
+    lambda of A_u annihilates their invariant subspace, so its range is
+    the invariant subspace of the other modes; its leading left
+    singular vectors, as many as there are such modes, span it.
     """
     observability = controllability_matrix(A.T, Q).T
     _, sigma, vt = np.linalg.svd(observability)
@@ -378,10 +387,16 @@ def _undetectable_states(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     cutoff = sigma[0] * max(observability.shape) * np.finfo(float).eps
     rank = int(np.count_nonzero(sigma > cutoff))
     unobservable = vt[rank:].T
+    reduced = unobservable.T @ A @ unobservable
+    eigs = np.linalg.eigvals(reduced)
     # the same strict margin as stabilizing_gain: marginal modes count
-    _, Z, count = schur(unobservable.T @ A @ unobservable,
-                        sort=lambda re, im: re >= -1e-9)
-    modes = unobservable @ Z[:, :count]
+    stable = eigs[eigs.real < -1e-9]
+    product = np.eye(eigs.size, dtype=complex)
+    for eig in stable:
+        product = product @ (reduced - eig * np.eye(eigs.size))
+    # conjugate eigenvalues come in exact pairs, so the product is real
+    u, _, _ = np.linalg.svd(product.real)
+    modes = unobservable @ u[:, :eigs.size - stable.size]
     return np.flatnonzero(np.abs(modes).max(axis=1, initial=0.0) > 1e-8)
 
 

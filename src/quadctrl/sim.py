@@ -84,7 +84,9 @@ class Scenario:
     plant_mode: str = "nonlinear"
 
     def __post_init__(self) -> None:
-        state = np.asarray(self.initial_state, dtype=float)
+        # a read-only copy: the caller's array stays theirs and writable
+        state = np.array(self.initial_state, dtype=float)
+        state.setflags(write=False)
         if state.shape != (model.STATE_DIM,):
             raise ValueError(f"initial_state must have 12 entries, got {state.shape}")
         if not np.all(np.isfinite(state)):
@@ -132,8 +134,11 @@ class Trajectory:
         if self.controls.shape != (n, model.INPUT_DIM):
             raise ValueError("controls length does not match time grid")
         steps = np.diff(self.times)
-        if n > 1 and not (np.all(steps > 0.0)
-                          and np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12)):
+        # each sample rounds by up to half an ulp of its time, so the steps
+        # of a long or offset grid jitter by a few ulp of its largest |t|
+        if n > 1 and not (np.all(steps > 0.0) and np.allclose(
+                steps, steps[0], rtol=1e-9, atol=4.0 * np.finfo(float).eps
+                * max(abs(float(self.times[0])), abs(float(self.times[-1]))))):
             raise ValueError("time grid must be uniform and strictly increasing")
 
     def channel(self, name: str) -> np.ndarray:
@@ -301,7 +306,7 @@ def run_closed_loop(scenario: Scenario, controller, params: QuadrotorParams) -> 
         else:
             state = (Phi @ state + Gamma @ np.subtract(u, u_eq)).tolist()
             if not all(map(math.isfinite, state)):
-                raise NonFiniteState("state became non-finite after an RK4 step")
+                raise NonFiniteState("state became non-finite after a zero-order-hold step")
         states[i + 1] = state
     # control at the final sample, so every row carries its input
     controls[n_steps] = controller.control(state, scenario.references, scenario.dt)

@@ -2,9 +2,10 @@
 
 A change that moves any byte of these outputs moves a digest.  Moving
 one is a deliberate act: record the new digest here and state the
-largest deviation and its reason in CHANGES.md.  The digests were
-recorded with numpy 2.4.6 and scipy 1.17.1 (OpenBLAS, x86-64); other
-releases may round the last bits differently.
+largest deviation and its reason in CHANGES.md.  The digests depend
+on numpy's own LAPACK and BLAS alone, as the package imports nothing
+else; they were recorded with numpy 2.4.6 (its bundled OpenBLAS,
+x86-64), and other releases may round the last bits differently.
 """
 
 import hashlib
@@ -15,7 +16,7 @@ import pytest
 from quadctrl.cli import main
 
 GOLDEN = {
-    "gain": "43ccb549d1956d5728198a3f43032bc0fc0488e87403c158eb60fc19d31996bc",
+    "gain": "0668bafa18d0a6887c54070eb9a6f2c9c06b6a2f14e13c773e3dce5eec7abe2d",
     "linearize": "2e962595ef93f8ffdee650f48caa0ffda1de615be252f400acd84d69d9874423",
     "trajectory.csv": "bb9f33d458dbd0368505bd59d4f11b11da4fbd049a528c936e3fe94102a295a2",
     "metrics.json": "cec6b7a795370da457a80b1a231ed433a4354701d64243422af73bbf01c04e2c",

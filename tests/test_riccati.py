@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import block_diag, expm, qr
+from scipy.linalg import block_diag, expm, qr, schur
 
 from quadctrl import (
     DEFAULT_Q_DIAGONAL,
@@ -28,8 +28,10 @@ from quadctrl import (
     solve_care,
     solve_lyapunov,
 )
+from quadctrl.linearize import controllability_matrix
 from quadctrl.riccati import (
     _decoupled_blocks,
+    _undetectable_states,
     care_residual,
     stabilizing_gain,
 )
@@ -104,6 +106,51 @@ def random_controllable_system(rng, n, m):
         return A, B, LqrWeights(Q=np.eye(n), R=np.eye(m))
 
 
+def schur_undetectable_states(A, Q):
+    """Reference for riccati._undetectable_states: the same unobservable
+    subspace, split by scipy's sorted real Schur form of A on it."""
+    observability = controllability_matrix(A.T, Q).T
+    _, sigma, vt = np.linalg.svd(observability)
+    cutoff = sigma[0] * max(observability.shape) * np.finfo(float).eps
+    unobservable = vt[int(np.count_nonzero(sigma > cutoff)):].T
+    _, Z, count = schur(unobservable.T @ A @ unobservable,
+                        sort=lambda re, im: re >= -1e-9)
+    modes = unobservable @ Z[:, :count]
+    return np.flatnonzero(np.abs(modes).max(axis=1, initial=0.0) > 1e-8)
+
+
+def partly_unobservable_system(rng):
+    """(A, Q) whose first k states, after an orthogonal change of basis V,
+    span an A-invariant subspace that Q does not weight.
+
+    Half the draws make A on that subspace triangular and V a
+    permutation, so the unseen unstable modes touch only some states.
+    Every eigenvalue of A lies at least 1e-3 from the -1e-9 margin.  A
+    defective eigenvalue at the margin, such as a 2x2 Jordan block at 0,
+    is left out: LAPACK may split its pair across the margin, and the
+    two splits then name different states.
+    """
+    n = int(rng.integers(2, 9))
+    k = int(rng.integers(1, n))
+    while True:
+        if rng.random() < 0.5:
+            hidden = (np.triu(rng.normal(size=(k, k)), 1)
+                      + np.diag(rng.choice([-1.0, 1.0], k) * rng.uniform(1e-3, 2.0, k)))
+            V = np.eye(n)[rng.permutation(n)]
+        else:
+            hidden = rng.normal(size=(k, k))
+            V = (qr(rng.normal(size=(n, n)))[0] if rng.random() < 0.5
+                 else np.eye(n)[rng.permutation(n)])
+        T = np.block([[hidden, rng.normal(size=(k, n - k))],
+                      [np.zeros((n - k, k)), rng.normal(size=(n - k, n - k))]])
+        A = V @ T @ V.T
+        if np.abs(np.linalg.eigvals(A).real + 1e-9).min() >= 1e-3:
+            break
+    C = rng.normal(size=(n - k, n - k))
+    Q = V @ block_diag(np.zeros((k, k)), C @ C.T) @ V.T
+    return A, 0.5 * (Q + Q.T)
+
+
 class TestLyapunovSolver:
     def test_scalar(self):
         # -2x + c = 0  for f = -1: f'x + xf + c = 0 -> x = c/2
@@ -133,6 +180,11 @@ class TestLyapunovSolver:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             solve_lyapunov(np.eye(3), np.eye(2))
+
+    def test_singular_kronecker_sum_rejected(self):
+        # F and -F share the eigenvalue 0: the equation has no unique solution
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            solve_lyapunov(np.zeros((2, 2)), np.eye(2))
 
 
 class TestStabilizingGain:
@@ -353,6 +405,24 @@ class TestBlockSolve:
         with pytest.raises(NoConvergence, match="on state 0$"):
             lqr_gain(np.diag([1.0, 0.0]), B, LqrWeights(Q=Q, R=R))
 
+    def test_undetectable_states_match_schur_on_hover_masks(self, hover_ss):
+        # every nonzero diagonal 0/1 weight on the 12 hover states
+        for mask in range(1, 2 ** 12):
+            Q = np.diag([float(mask >> i & 1) for i in range(12)])
+            assert np.array_equal(_undetectable_states(hover_ss.A, Q),
+                                  schur_undetectable_states(hover_ss.A, Q)), mask
+
+    def test_undetectable_states_match_schur_on_seeded_systems(self):
+        rng = np.random.default_rng(12)
+        named = set()
+        for _ in range(300):
+            A, Q = partly_unobservable_system(rng)
+            unseen = _undetectable_states(A, Q)
+            assert np.array_equal(unseen, schur_undetectable_states(A, Q))
+            named.add(0 < unseen.size < A.shape[0])
+        # some draws name a strict, nonempty subset of the states
+        assert named == {False, True}
+
     def test_connected_graph_solved_whole(self):
         # two double integrators tied by one off-diagonal state weight
         A = block_diag(double_integrator()[0], double_integrator()[0])
@@ -381,6 +451,15 @@ class TestLqrWeights:
     def test_rejects_singular_r(self):
         with pytest.raises(ValueError, match="positive definite"):
             LqrWeights(Q=np.eye(2), R=np.zeros((1, 1)))
+
+    def test_weights_are_read_only_copies(self):
+        Q, R = np.eye(2), np.eye(1)
+        w = LqrWeights(Q=Q, R=R)
+        for M in (w.Q, w.R):
+            with pytest.raises(ValueError, match="read-only"):
+                M[0, 0] = -5.0
+        Q[0, 0] = R[0, 0] = -5.0
+        assert w.Q[0, 0] == w.R[0, 0] == 1.0
 
     def test_from_diagonals(self):
         w = LqrWeights.from_diagonals([1.0, 2.0], [3.0])

@@ -31,6 +31,7 @@ from quadctrl.pid import ANGLE_LIMIT, CascadeMemory, pid_step
 from quadctrl.sim import CASE2_INITIAL_STATE, InitialThetaOutOfRange, UnknownCase
 
 ZERO_GAINS = PidGains(kp=0.0, ki=0.0, kd=0.0)
+LONG_DT = 0.003312880880880881
 
 
 def zero_gain_controller(params):
@@ -438,6 +439,16 @@ class TestScenarioCase:
             assert scenario_case(1, initial_state=start,
                                  plant_mode="linear").initial_state[THETA] == theta
 
+    def test_initial_state_is_a_read_only_copy(self):
+        start = np.zeros(12)
+        sc = scenario_case(1, initial_state=start)
+        with pytest.raises(ValueError, match="read-only"):
+            sc.initial_state[THETA] = 1.6
+        start[THETA] = 0.3
+        assert sc.initial_state[THETA] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            scenario_case(1).initial_state[THETA] = 1.6
+
 
 class TestRunClosedLoop:
     def test_zero_gain_controller_holds_hover(self, params):
@@ -551,6 +562,17 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="uniform"):
             Trajectory(times=times, states=np.zeros((3, 12)),
                        controls=np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("start, dt, n", [
+        # the simulator's grid for t_final 33095.68 at this dt: 9.99e6
+        # steps, under MAX_STEPS, whose samples round by ~ulp(t_final)
+        (0.0, LONG_DT, scenario_case(1, duration=33095.68, dt=LONG_DT).sample_count),
+        (1e6, 1e-3, 1000),
+    ], ids=["long", "offset"])
+    def test_long_and_offset_grids_accepted(self, start, dt, n):
+        times = start + np.arange(n) * dt
+        Trajectory(times=times, states=np.broadcast_to(0.0, (n, 12)),
+                   controls=np.broadcast_to(0.0, (n, 4)))
 
     def test_channel_lookup(self, rng):
         states = rng.normal(size=(5, 12))

@@ -17,6 +17,9 @@ import numpy as np
 from . import model
 from .model import QuadrotorParams
 
+# Central-difference step of numeric_jacobians.
+JACOBIAN_STEP = 1e-6
+
 
 @dataclass(frozen=True)
 class StateSpace:
@@ -56,35 +59,33 @@ def hover_jacobians(params: QuadrotorParams) -> StateSpace:
     return StateSpace(A=A, B=B)
 
 
-def numeric_jacobians(params: QuadrotorParams,
-                      eps: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+def numeric_jacobians(params: QuadrotorParams) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference Jacobians of the nonlinear dynamics at hover.
 
     Independent oracle for :func:`hover_jacobians`.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
     state0, u0 = model.hover_equilibrium(params)
 
     A = np.zeros((model.STATE_DIM, model.STATE_DIM))
     for j in range(model.STATE_DIM):
         bump = np.zeros(model.STATE_DIM)
-        bump[j] = eps
+        bump[j] = JACOBIAN_STEP
         fp = model.dynamics(state0 + bump, u0, params)
         fm = model.dynamics(state0 - bump, u0, params)
-        A[:, j] = np.subtract(fp, fm) / (2.0 * eps)
+        A[:, j] = np.subtract(fp, fm) / (2.0 * JACOBIAN_STEP)
 
     B = np.zeros((model.STATE_DIM, model.INPUT_DIM))
     for j in range(model.INPUT_DIM):
         bump = np.zeros(model.INPUT_DIM)
-        bump[j] = eps
+        bump[j] = JACOBIAN_STEP
         fp = model.dynamics(state0, u0 + bump, params)
         fm = model.dynamics(state0, u0 - bump, params)
-        B[:, j] = np.subtract(fp, fm) / (2.0 * eps)
+        B[:, j] = np.subtract(fp, fm) / (2.0 * JACOBIAN_STEP)
 
     return A, B
 
 
+@np.errstate(over="ignore", invalid="ignore")   # an overflow is refused below
 def zoh(A: np.ndarray, B: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Zero-order-hold map (Phi, Gamma) of dx/dt = A x + B u over dt.
 
@@ -93,7 +94,7 @@ def zoh(A: np.ndarray, B: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray
     until a term is exactly zero.  That happens only for a nilpotent A:
     the hover A has A^4 = 0, so the sum stops after the M^4/4! term and
     equals both e^{A dt} and one RK4 step with u held.  Any other A
-    raises ValueError.
+    raises ValueError, and so does a dt for which the sum overflows.
     """
     n, m = np.shape(B)
     M = np.zeros((n + m, n + m))
@@ -105,6 +106,8 @@ def zoh(A: np.ndarray, B: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray
         if not term.any():
             return total[:n, :n], total[:n, n:]
         total = total + term
+        if not np.isfinite(total).all():
+            raise ValueError(f"the zero-order-hold series overflows at dt={dt!r}")
     raise ValueError("A is not nilpotent; its exponential series has no last term")
 
 

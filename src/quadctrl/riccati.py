@@ -23,15 +23,17 @@ pitch and roll torque).  Each block is iterated to its share of the
 tolerance and S is assembled with exact zeros between blocks; the
 assembled residual is checked against the full-system tolerance.
 
+Controllability and detectability are decided block by block, so one
+block's scale cannot hide another block's rank.
+
 Lyapunov equations are solved as one n^2 x n^2 linear system, the
-Kronecker sum I kron F' + F' kron I, built once and handed to
-``np.linalg.solve`` for the first solve and for each of up to three
-iterative-refinement sweeps.  Each solve costs O(n^6) time and O(n^4)
-memory: microseconds for the hover blocks (n <= 4) and fine up to n of
-about 20.  An eigenvector-based solver on the associated 2n x 2n
-Hamiltonian matrix is available as an independent cross-check
-(``method="hamiltonian"``); it always solves the whole system.  The
-module needs numpy alone.
+Kronecker sum I kron F' + F' kron I, with one call to
+``np.linalg.solve`` and no refinement sweep.  Each solve costs O(n^6)
+time and O(n^4) memory: microseconds for the hover blocks (n <= 4)
+and fine up to n of about 20.  An eigenvector-based solver on the
+associated 2n x 2n Hamiltonian matrix is available as an independent
+cross-check (``method="hamiltonian"``); it always solves the whole
+system.  The module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -117,11 +119,11 @@ def solve_lyapunov(F: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Solve F' X + X F + C = 0 for symmetric C and stable F.
 
     With column-major stacking, vec(F' X + X F) = (I kron F' + F' kron I)
-    vec(X), so the equation is one n^2 x n^2 linear system.  It is
-    solved once, then by a few iterative-refinement sweeps on the same
-    matrix that push the defect down to roundoff even for
-    ill-conditioned spectra.  A singular Kronecker sum (F and -F share
-    an eigenvalue) raises ``np.linalg.LinAlgError``, a ``ValueError``.
+    vec(X), so the equation is one n^2 x n^2 linear system, solved once
+    by LU; refining in working precision would not improve the forward
+    error of that backward-stable solve.  A singular Kronecker sum (F
+    and -F share an eigenvalue) raises ``np.linalg.LinAlgError``, a
+    ``ValueError``.
     """
     F = np.asarray(F, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -137,23 +139,8 @@ def solve_lyapunov(F: np.ndarray, C: np.ndarray) -> np.ndarray:
     kron_sum[index, :, index, :] = F.T
     kron_sum[:, index, :, index] += F.T
     kron_sum = kron_sum.reshape(n * n, n * n)
-
-    def solve(D: np.ndarray) -> np.ndarray:
-        """Y with F' Y + Y F = -D, symmetrized."""
-        Y = np.linalg.solve(kron_sum, -D.ravel(order="F")).reshape((n, n), order="F")
-        return 0.5 * (Y + Y.T)
-
-    X = solve(C)
-    scale = max(1.0, float(np.linalg.norm(C, ord="fro")))
-    defect_norm = np.inf
-    for _ in range(3):
-        defect = F.T @ X + X @ F + C
-        norm = float(np.linalg.norm(defect, ord="fro"))
-        if norm >= defect_norm or norm < 1e-15 * scale:
-            break
-        defect_norm = norm
-        X = X + solve(defect)
-    return X
+    X = np.linalg.solve(kron_sum, -C.ravel(order="F")).reshape((n, n), order="F")
+    return 0.5 * (X + X.T)
 
 
 def care_residual(A, B, S, weights: LqrWeights) -> float:
@@ -210,11 +197,19 @@ def _decoupled_blocks(A, B, weights: LqrWeights) -> list[tuple[np.ndarray, np.nd
     States and inputs are the nodes of a graph with an edge for every
     nonzero of A, Q, B and R; each connected component is a CARE of its
     own, and the solution has exact zeros between components.  Inputs
-    that touch no state drop out (their gain rows are zero).  When the
-    graph is connected, or a component has states but no input to
-    stabilize it, the whole system is one block.
+    that touch no state drop out (their gain rows are zero), and a
+    component with states but no input is a block with no inputs.  When
+    the graph is connected, the whole system is one block.  Shapes that
+    do not fit together raise ``ValueError``.
     """
-    n, m = B.shape
+    n = A.shape[0]
+    if A.shape != (n, n) or B.ndim != 2 or B.shape[0] != n:
+        raise ValueError(f"incompatible shapes A {A.shape}, B {B.shape}")
+    m = B.shape[1]
+    if weights.Q.shape != (n, n):
+        raise ValueError(f"Q must be {n}x{n}, got {weights.Q.shape}")
+    if weights.R.shape != (m, m):
+        raise ValueError(f"R must be {m}x{m}, got {weights.R.shape}")
     linked = np.eye(n + m, dtype=bool)
     linked[:n, :n] |= (A != 0.0) | (weights.Q != 0.0)
     linked[:n, n:] = B != 0.0
@@ -232,8 +227,6 @@ def _decoupled_blocks(A, B, weights: LqrWeights) -> list[tuple[np.ndarray, np.nd
             continue
         members = np.flatnonzero(linked[node])
         states, inputs = members[members < n], members[members >= n] - n
-        if inputs.size == 0:
-            return [(np.arange(n), np.arange(m))]
         seen[states] = True
         blocks.append((states, inputs))
     return blocks
@@ -277,27 +270,24 @@ def solve_care(
     its own, and ``iterations`` counts its Newton steps over all blocks.
 
     Raises :class:`NotStabilizable` when the controllability rank check
-    fails and :class:`NoConvergence` when ``MAX_NEWTON_STEPS`` Newton
-    steps on a block do not reach the tolerance.
+    fails on a decoupled block and :class:`NoConvergence` when
+    ``MAX_NEWTON_STEPS`` Newton steps on a block do not reach the
+    tolerance.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     n = A.shape[0]
-    if A.shape != (n, n) or B.ndim != 2 or B.shape[0] != n:
-        raise ValueError(f"incompatible shapes A {A.shape}, B {B.shape}")
-    if weights.Q.shape != (n, n):
-        raise ValueError(f"Q must be {n}x{n}, got {weights.Q.shape}")
-    if weights.R.shape != (B.shape[1], B.shape[1]):
-        raise ValueError(f"R must be {B.shape[1]}x{B.shape[1]}, got {weights.R.shape}")
+    blocks = _decoupled_blocks(A, B, weights)
 
     q_norm = float(np.linalg.norm(weights.Q, ord="fro"))
     tol = RESIDUAL_RTOL * q_norm
 
-    if not is_controllable(A, B):
-        raise NotStabilizable(
-            "controllability matrix is rank deficient; cannot guarantee a "
-            "stabilizing solution"
-        )
+    for states, inputs in blocks:
+        if not is_controllable(A[np.ix_(states, states)], B[np.ix_(states, inputs)]):
+            raise NotStabilizable(
+                "controllability matrix is rank deficient; cannot guarantee a "
+                "stabilizing solution"
+            )
 
     if q_norm == 0.0:
         # Zero state weight: S = 0 solves the equation exactly (the
@@ -317,7 +307,7 @@ def solve_care(
 
     S = np.zeros((n, n))
     iterations = 0
-    for states, inputs in _decoupled_blocks(A, B, weights):
+    for states, inputs in blocks:
         square = np.ix_(states, states)
         block_q = weights.Q[square]
         # The block's share of the tolerance, tol |Q_b| / |Q|: the shares
@@ -345,12 +335,16 @@ def lqr_gain(A: np.ndarray, B: np.ndarray, weights: LqrWeights) -> np.ndarray:
     must make (A, Q) detectable: a mode with Re >= 0 that Q does not see
     is left unstabilized by the optimal policy, so such weights are
     refused with :class:`NoConvergence` naming the state channels that
-    carry the mode.  Q = 0 gives K = 0 (no control).
+    carry the mode.  Detectability is decided on each decoupled block.
+    Q = 0 gives K = 0 (no control).
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if np.any(weights.Q):
-        unseen = _undetectable_states(A, weights.Q)
+        unseen = np.sort(np.concatenate([
+            states[_undetectable_states(A[np.ix_(states, states)],
+                                        weights.Q[np.ix_(states, states)])]
+            for states, _ in _decoupled_blocks(A, B, weights)]))
         if unseen.size:
             labels = (model.STATE_LABELS if A.shape[0] == model.STATE_DIM
                       else [f"state {i}" for i in range(A.shape[0])])

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_continuous_are
 
 import quadctrl
 from quadctrl.cli import (
@@ -295,6 +296,25 @@ class TestMatrixCommands:
         assert captured.err == ("config error: (A, Q) is not detectable: Q does not "
                                 "weight a mode with Re >= 0 on psi\n")
 
+    @pytest.mark.parametrize("document", [
+        {"params": {"m": 1e5}},
+        {"lqr": {"q_diag": [1e13, 200, 1.71, 600, 1400, 10, 60, 60, 2.0, 0.25, 10, 1]}},
+    ], ids=["mass-1e5", "x-weight-1e13"])
+    def test_rank_decided_per_block(self, tmp_path, capsys, document):
+        # one block's scale would hide another block's rank in the whole
+        # system: the altitude block next to the attitude blocks at m = 1e5
+        # (controllability), or the x chain weighted 1e13 (detectability)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(document))
+        assert main(["--config", str(cfg), "gain"]) == 0
+        K = np.array([[float(v) for v in row.split(",")]
+                      for row in capsys.readouterr().out.strip().splitlines()])
+        config = parse_config(json.dumps(document))
+        ss = quadctrl.hover_jacobians(config.params)
+        Q, R = config.weights.Q, config.weights.R
+        K_ref = np.linalg.solve(R, ss.B.T @ solve_continuous_are(ss.A, ss.B, Q, R))
+        assert np.linalg.norm(K - K_ref) <= 1e-8 * np.linalg.norm(K_ref)
+
     def test_zero_state_weight_emits_zero_matrix(self, capsys):
         config = parse_config(json.dumps({"lqr": {"q_diag": [0.0] * 12}}))
         assert cmd_gain(config) == 0
@@ -343,6 +363,18 @@ class TestMainEntry:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"config error: sim: {message} is more than 10000000 steps\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_linear_step_exits_one(self, tmp_path, capsys):
+        # the zero-order-hold series of the hover pair overflows at this dt
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"sim": {"plant": "linear", "t_final": 1e79, "dt": 1e77}}))
+        assert main(["--config", str(cfg), "run", "--controller", "pid",
+                     "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: the zero-order-hold series overflows "
+                                "at dt=1e+77\n")
         assert not (tmp_path / "out").exists()
 
     def test_initial_pitch_outside_domain_exits_one(self, tmp_path, capsys):

@@ -16,7 +16,7 @@ import pytest
 from quadctrl.cli import main
 
 GOLDEN = {
-    "gain": "0668bafa18d0a6887c54070eb9a6f2c9c06b6a2f14e13c773e3dce5eec7abe2d",
+    "gain": "ffa2a3138d3fa04cf44c664785c9c4d89af6c16c7104017fd3ddf09ac7c2ec1d",
     "linearize": "2e962595ef93f8ffdee650f48caa0ffda1de615be252f400acd84d69d9874423",
     "trajectory.csv": "bb9f33d458dbd0368505bd59d4f11b11da4fbd049a528c936e3fe94102a295a2",
     "metrics.json": "cec6b7a795370da457a80b1a231ed433a4354701d64243422af73bbf01c04e2c",

@@ -72,10 +72,6 @@ class TestNumericJacobians:
         A_fd, _ = numeric_jacobians(params)
         assert np.max(np.abs(A_fd[:, 5])) < 1e-8
 
-    def test_rejects_bad_eps(self, params):
-        with pytest.raises(ValueError, match="eps"):
-            numeric_jacobians(params, eps=0.0)
-
 
 class TestControllability:
     def test_hover_pair_is_controllable(self, hover_ss):
@@ -140,6 +136,13 @@ class TestZoh:
         A[ZDOT, Z] = -1.0   # a spring on altitude: z oscillates, A^k never vanishes
         with pytest.raises(ValueError, match="not nilpotent"):
             zoh(A, hover_ss.B, 1e-3)
+
+    def test_refuses_overflowing_dt(self, hover_ss):
+        # the M^4/4! term of the hover block overflows to inf; the terms
+        # after it are NaN (inf * 0), never exactly zero, so the sum is
+        # refused as an overflow rather than as a non-nilpotent A
+        with pytest.raises(ValueError, match=r"overflows at dt=1e\+77$"):
+            zoh(hover_ss.A, hover_ss.B, 1e77)
 
 
 class TestSampledLoopRadius:

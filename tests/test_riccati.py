@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import block_diag, expm, qr, schur
+from scipy.linalg import block_diag, expm, qr, schur, solve_continuous_lyapunov
 
 from quadctrl import (
     DEFAULT_Q_DIAGONAL,
@@ -180,6 +180,21 @@ class TestLyapunovSolver:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             solve_lyapunov(np.eye(3), np.eye(2))
+
+    def test_matches_scipy_on_stock_closed_loop_blocks(self, hover_ss, default_weights,
+                                                       default_gain):
+        # the last Newton step of each hover block: F = A - B K is the
+        # closed loop, with poles up to |lambda| = 2.86e4 rad/s
+        for states, u in HOVER_BLOCKS:
+            square = np.ix_(states, states)
+            B = hover_ss.B[list(states), u][:, None]
+            K = default_gain[u, list(states)][None, :]
+            R = default_weights.R[u, u]
+            F = hover_ss.A[square] - B @ K
+            C = default_weights.Q[square] + R * K.T @ K
+            X = solve_lyapunov(F, C)
+            X_ref = solve_continuous_lyapunov(F.T, -C)
+            assert np.linalg.norm(X - X_ref) <= 1e-12 * np.linalg.norm(X_ref), states
 
     def test_singular_kronecker_sum_rejected(self):
         # F and -F share the eigenvalue 0: the equation has no unique solution

@@ -9,19 +9,24 @@ Kleinman's Newton iteration: each step solves the Lyapunov equation
 
     (A - B K)' S + S (A - B K) + Q + K' R K = 0
 
-for the current gain K and updates K = R^-1 B' S.  The iteration is
-warm-started from a stabilizing gain obtained by eigenvalue shifting
-(solve a Lyapunov equation for the shifted pair, invert the Gramian),
-so every iterate is stabilizing and S decreases monotonically to the
-stabilizing solution.
+for the current gain K and updates K = R^-1 B' S.  From any
+stabilizing gain every iterate is stabilizing and S decreases
+monotonically to the stabilizing solution.  The iteration is
+warm-started from the direct solution: the stable eigenvectors of the
+2n x 2n Hamiltonian matrix give S_H, and K0 = R^-1 B' S_H.  Newton
+only refines it, so the start has to be close, not accurate.  If that
+solve fails or K0 does not stabilize A - B K0, the start falls back to
+a gain obtained by eigenvalue shifting (solve a Lyapunov equation for
+the shifted pair, invert the Gramian).
 
 The problem is first split into blocks: states and inputs are joined
 by every nonzero of A, Q, B and R, and each connected component is a
 CARE of its own.  The hover plant falls into four (z/zdot with thrust,
 psi/r with yaw torque, and the x/theta and y/phi lateral chains with
-pitch and roll torque).  Each block is iterated to its share of the
-tolerance and S is assembled with exact zeros between blocks; the
-assembled residual is checked against the full-system tolerance.
+pitch and roll torque).  Each block is iterated until its residual is
+small against the size of the terms it sums, and S is assembled with
+exact zeros between blocks; the assembled residual is checked against
+the same normalized bound.
 
 Controllability and detectability are decided block by block, so one
 block's scale cannot hide another block's rank.
@@ -30,10 +35,9 @@ Lyapunov equations are solved as one n^2 x n^2 linear system, the
 Kronecker sum I kron F' + F' kron I, with one call to
 ``np.linalg.solve`` and no refinement sweep.  Each solve costs O(n^6)
 time and O(n^4) memory: microseconds for the hover blocks (n <= 4)
-and fine up to n of about 20.  An eigenvector-based solver on the
-associated 2n x 2n Hamiltonian matrix is available as an independent
-cross-check (``method="hamiltonian"``); it always solves the whole
-system.  The module needs numpy alone.
+and fine up to n of about 20.  The Hamiltonian solution alone is
+available as an independent cross-check (``method="hamiltonian"``); it
+always solves the whole system.  The module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -60,8 +64,8 @@ DEFAULT_Q_DIAGONAL = (
 DEFAULT_R_DIAGONAL = (1.0, 0.001, 0.001, 0.001)
 
 # solve_care's bound on the Frobenius norm of the Riccati residual, as a
-# fraction of the Frobenius norm of Q, and its budget of Newton steps
-# per decoupled block.
+# fraction of the summed Frobenius norms of its terms (see
+# _residual_bound), and its budget of Newton steps per decoupled block.
 RESIDUAL_RTOL = 1e-9
 MAX_NEWTON_STEPS = 100
 
@@ -151,6 +155,23 @@ def care_residual(A, B, S, weights: LqrWeights) -> float:
     return float(np.linalg.norm(res, ord="fro"))
 
 
+def _residual_bound(A, B, S, weights: LqrWeights) -> float:
+    """RESIDUAL_RTOL (|Q| + |A'S + SA| + |S B R^-1 B' S|), Frobenius norms.
+
+    The normalized CARE residual: the residual is measured against the
+    size of the terms it sums, so its roundoff floor stays under the
+    bound however S scales with the plant.  For a block-diagonal S the
+    blocks' bounds add up, by Minkowski's inequality, to no more than
+    the bound of the whole, so every block meeting its own bound makes
+    the assembled S meet the full-system bound.
+    """
+    BtS = B.T @ S
+    return RESIDUAL_RTOL * (float(np.linalg.norm(weights.Q, ord="fro"))
+                            + float(np.linalg.norm(A.T @ S + S @ A, ord="fro"))
+                            + float(np.linalg.norm(BtS.T @ np.linalg.solve(weights.R, BtS),
+                                                   ord="fro")))
+
+
 def stabilizing_gain(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Gain K0 such that A - B K0 is Hurwitz, for controllable (A, B).
 
@@ -179,7 +200,11 @@ def stabilizing_gain(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _solve_care_hamiltonian(A, B, weights: LqrWeights) -> np.ndarray:
-    """Stable-eigenvector solution of the CARE, used as a cross-check."""
+    """Stable-eigenvector solution of the CARE: Newton's start, and a cross-check.
+
+    May raise ``np.linalg.LinAlgError`` or return a non-finite or
+    inaccurate S when the stable eigenvectors are ill conditioned.
+    """
     n = A.shape[0]
     G = B @ np.linalg.solve(weights.R, B.T)
     H = np.block([[A, -G], [-weights.Q, -A.T]])
@@ -232,20 +257,34 @@ def _decoupled_blocks(A, B, weights: LqrWeights) -> list[tuple[np.ndarray, np.nd
     return blocks
 
 
-def _newton(A, B, weights: LqrWeights, tol: float) -> tuple[np.ndarray, int]:
-    """Kleinman's Newton iteration from a stabilizing gain: (S, iterations).
+def _newton(A, B, weights: LqrWeights) -> tuple[np.ndarray, int]:
+    """Kleinman's Newton iteration from the Hamiltonian solution: (S, iterations).
 
-    The residual of a Kleinman iterate is -dK' R dK for the gain update
-    dK just taken, so it measures that step, not the error left.  Once it
-    meets ``tol`` the iteration is in its quadratic phase, and one more
-    step takes S to roundoff.
+    The start is K0 = R^-1 B' S_H for the stable-eigenvector solution
+    S_H, or the eigenvalue-shifting gain of :func:`stabilizing_gain`
+    when that solve raises ``LinAlgError``, gives a non-finite S_H, or
+    a K0 that leaves A - B K0 short of Hurwitz.  The residual of a
+    Kleinman iterate is -dK' R dK for the gain update dK just taken, so
+    it measures that step, not the error left.  Once it meets
+    :func:`_residual_bound` the iteration is in its quadratic phase, and
+    one more step takes S to roundoff.
     """
     gain_map = np.linalg.solve(weights.R, B.T)     # K = gain_map @ S
-    K = stabilizing_gain(A, B)
+    K = None
+    try:
+        S = _solve_care_hamiltonian(A, B, weights)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        if np.isfinite(S).all():
+            K = gain_map @ S
+    if K is None or float(np.linalg.eigvals(A - B @ K).real.max()) >= 0.0:
+        K = stabilizing_gain(A, B)
     for iteration in range(1, MAX_NEWTON_STEPS + 1):
         S = solve_lyapunov(A - B @ K, weights.Q + K.T @ (weights.R @ K))
         K = gain_map @ S
         residual = care_residual(A, B, S, weights)
+        tol = _residual_bound(A, B, S, weights)
         if residual <= tol:
             S = solve_lyapunov(A - B @ K, weights.Q + K.T @ (weights.R @ K))
             return S, iteration + 1
@@ -264,10 +303,13 @@ def solve_care(
     """Solve the CARE for the stabilizing solution S.
 
     The Frobenius norm of the Riccati residual must come within
-    ``RESIDUAL_RTOL`` times the Frobenius norm of Q.  ``method`` selects
-    the Newton iteration (default) or the Hamiltonian eigenvector
-    cross-check path.  The Newton path solves each decoupled block on
-    its own, and ``iterations`` counts its Newton steps over all blocks.
+    ``RESIDUAL_RTOL`` times the summed norms of its terms, |Q| +
+    |A'S + SA| + |S B R^-1 B' S| (:func:`_residual_bound`).  ``method``
+    selects the Newton iteration (default) or the Hamiltonian
+    eigenvector solution alone.  The Newton path solves each decoupled
+    block on its own, warm-started from that block's Hamiltonian
+    solution, and ``iterations`` counts its Newton steps over all
+    blocks.
 
     Raises :class:`NotStabilizable` when the controllability rank check
     fails on a decoupled block and :class:`NoConvergence` when
@@ -279,9 +321,6 @@ def solve_care(
     n = A.shape[0]
     blocks = _decoupled_blocks(A, B, weights)
 
-    q_norm = float(np.linalg.norm(weights.Q, ord="fro"))
-    tol = RESIDUAL_RTOL * q_norm
-
     for states, inputs in blocks:
         if not is_controllable(A[np.ix_(states, states)], B[np.ix_(states, inputs)]):
             raise NotStabilizable(
@@ -289,15 +328,15 @@ def solve_care(
                 "stabilizing solution"
             )
 
-    if q_norm == 0.0:
+    if not weights.Q.any():
         # Zero state weight: S = 0 solves the equation exactly (the
         # optimal policy applies no control).
         return CareSolution(S=np.zeros((n, n)), residual_norm=0.0, iterations=0)
 
     if method == "hamiltonian":
         S = _solve_care_hamiltonian(A, B, weights)
-        residual = care_residual(A, B, S, weights)
-        if residual > tol:
+        residual, tol = care_residual(A, B, S, weights), _residual_bound(A, B, S, weights)
+        if not residual <= tol:
             raise NoConvergence(
                 f"Hamiltonian-eigenvector residual {residual:.3e} above "
                 f"tolerance {tol:.3e}")
@@ -310,18 +349,14 @@ def solve_care(
     for states, inputs in blocks:
         square = np.ix_(states, states)
         block_q = weights.Q[square]
-        # The block's share of the tolerance, tol |Q_b| / |Q|: the shares
-        # add up in squares to tol, and each block is solved to the same
-        # relative accuracy.  An unweighted block keeps S = 0, as Q = 0 does.
-        share = float(np.linalg.norm(block_q, ord="fro")) / q_norm
-        if share == 0.0:
+        # An unweighted block keeps S = 0, as Q = 0 does.
+        if not block_q.any():
             continue
         block_weights = LqrWeights(Q=block_q, R=weights.R[np.ix_(inputs, inputs)])
-        S[square], steps = _newton(A[square], B[np.ix_(states, inputs)], block_weights,
-                                   tol * share)
+        S[square], steps = _newton(A[square], B[np.ix_(states, inputs)], block_weights)
         iterations += steps
-    residual = care_residual(A, B, S, weights)
-    if residual > tol:
+    residual, tol = care_residual(A, B, S, weights), _residual_bound(A, B, S, weights)
+    if not residual <= tol:
         raise NoConvergence(
             f"assembled Riccati residual {residual:.3e} above tolerance {tol:.3e}")
     return CareSolution(S=S, residual_norm=residual, iterations=iterations)

@@ -315,6 +315,29 @@ class TestMatrixCommands:
         K_ref = np.linalg.solve(R, ss.B.T @ solve_continuous_are(ss.A, ss.B, Q, R))
         assert np.linalg.norm(K - K_ref) <= 1e-8 * np.linalg.norm(K_ref)
 
+    @pytest.mark.parametrize("mass", [1e6, 1e7, 3e7, 1e8, 1e9])
+    def test_heavy_vehicle_gain(self, tmp_path, capsys, mass):
+        # |S| grows with the mass, so the residual's roundoff floor grows
+        # too; Newton's stopping test is relative to the residual's terms.
+        # The oracle solves each hover block on its own: scipy on the
+        # whole system is 1.2e-7 off the closed-form altitude row at 1e9.
+        document = {"params": {"m": mass}}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(document))
+        assert main(["--config", str(cfg), "gain"]) == 0
+        K = np.array([[float(v) for v in row.split(",")]
+                      for row in capsys.readouterr().out.strip().splitlines()])
+        config = parse_config(json.dumps(document))
+        ss = quadctrl.hover_jacobians(config.params)
+        Q, R = config.weights.Q, config.weights.R
+        K_ref = np.zeros_like(K)
+        for states, inputs in (([2, 8], [0]), ([1, 3, 7, 9], [1]),
+                               ([0, 4, 6, 10], [2]), ([5, 11], [3])):
+            square, B = np.ix_(states, states), ss.B[np.ix_(states, inputs)]
+            S = solve_continuous_are(ss.A[square], B, Q[square], R[np.ix_(inputs, inputs)])
+            K_ref[np.ix_(inputs, states)] = np.linalg.solve(R[np.ix_(inputs, inputs)], B.T @ S)
+        assert np.linalg.norm(K - K_ref) <= 1e-8 * np.linalg.norm(K_ref)
+
     def test_zero_state_weight_emits_zero_matrix(self, capsys):
         config = parse_config(json.dumps({"lqr": {"q_diag": [0.0] * 12}}))
         assert cmd_gain(config) == 0

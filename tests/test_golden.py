@@ -16,9 +16,9 @@ import pytest
 from quadctrl.cli import main
 
 GOLDEN = {
-    "gain": "ffa2a3138d3fa04cf44c664785c9c4d89af6c16c7104017fd3ddf09ac7c2ec1d",
+    "gain": "cbeafca74a8fc71ec206cb66fdf863a77617209ca29e05f999e889dcc9e46876",
     "linearize": "2e962595ef93f8ffdee650f48caa0ffda1de615be252f400acd84d69d9874423",
-    "trajectory.csv": "bb9f33d458dbd0368505bd59d4f11b11da4fbd049a528c936e3fe94102a295a2",
+    "trajectory.csv": "2634621708f8e732c8bf57f1ee86add444d4af0212c7c79eb092f147d165afe7",
     "metrics.json": "cec6b7a795370da457a80b1a231ed433a4354701d64243422af73bbf01c04e2c",
     "comparison.json": "399d5f7ac6c408af784af5a407838b922b55be35e61ffc7aae73a524e205394c",
 }

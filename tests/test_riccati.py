@@ -245,6 +245,11 @@ class TestSolveCare:
         assert K[0] == pytest.approx(K_exact, rel=1e-9)
         assert K[0] == pytest.approx([100.0, 31.64], abs=5e-3)
 
+    def test_stock_weights_take_eight_newton_steps(self, hover_ss, default_weights):
+        # two per hover block: the Hamiltonian start is inside the
+        # quadratic phase, and one more step follows the tolerance
+        assert solve_care(hover_ss.A, hover_ss.B, default_weights).iterations == 8
+
     def test_residual_below_tolerance(self, hover_ss, default_weights):
         sol = solve_care(hover_ss.A, hover_ss.B, default_weights)
         tol = 1e-9 * np.linalg.norm(default_weights.Q, "fro")
@@ -310,9 +315,32 @@ class TestSolveCare:
 
     def test_no_convergence_when_iterations_exhausted(self, hover_ss, default_weights,
                                                        monkeypatch):
+        # one step from the Hamiltonian start meets the tolerance, so a
+        # zero tolerance makes the single step run out
         monkeypatch.setattr(riccati, "MAX_NEWTON_STEPS", 1)
+        monkeypatch.setattr(riccati, "RESIDUAL_RTOL", 0.0)
         with pytest.raises(NoConvergence):
             solve_care(hover_ss.A, hover_ss.B, default_weights)
+
+    def test_shifted_start_gives_the_same_gain(self, rng, hover_ss, default_weights,
+                                               monkeypatch):
+        # a zero Hamiltonian solution gives K0 = 0, which leaves the hover
+        # plant's marginal modes unstabilized, so Newton falls back to
+        # stabilizing_gain's start
+        systems = [(hover_ss.A, hover_ss.B, default_weights)]
+        systems += [random_controllable_system(rng, int(rng.integers(2, 13)),
+                                               int(rng.integers(2, 5))) for _ in range(20)]
+        warm = [lqr_gain(*system) for system in systems]
+        shifted_starts = []
+        monkeypatch.setattr(riccati, "_solve_care_hamiltonian",
+                            lambda A, B, weights: np.zeros(A.shape))
+        monkeypatch.setattr(riccati, "stabilizing_gain",
+                            lambda A, B: shifted_starts.append(A) or stabilizing_gain(A, B))
+        for system, K in zip(systems, warm):
+            assert relative_gap(K, lqr_gain(*system)) <= 1e-12
+        # K0 = 0 stabilizes a Hurwitz draw, which then needs no fallback
+        unstable = sum(np.linalg.eigvals(A).real.max() >= 0.0 for A, _, _ in systems[1:])
+        assert len(shifted_starts) == len(HOVER_BLOCKS) + unstable
 
     def test_zero_state_weight_gives_zero_solution(self, hover_ss):
         weights = LqrWeights(Q=np.zeros((12, 12)), R=np.diag([1.0, 0.001, 0.001, 0.001]))

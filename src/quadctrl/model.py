@@ -17,8 +17,8 @@ attitude kinematics use the small-angle identification phidot = p,
 thetadot = q, psidot = r, which is the regime every controller in this
 package is designed for.  theta must stay inside (-pi/2, pi/2) or the
 thrust projection degenerates.  psi is an angle: the controllers take
-their heading error through :func:`wrap_heading_error`, so a reference
-near +-pi is approached the short way round.
+their heading error through :func:`wrap_angle`, so a reference near
++-pi is approached the short way round.
 
 :func:`dynamics`, :func:`step` and :func:`normalize_state` take float
 sequences and return lists of Python floats, the form the simulator
@@ -171,19 +171,16 @@ def hover_equilibrium(params: QuadrotorParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def wrap_angle(angle: float) -> float:
-    """Wrap a single angle into [-pi, pi)."""
-    return (angle + math.pi) % (2.0 * math.pi) - math.pi
+    """Wrap a single angle into [-pi, pi); an angle already inside is
+    returned as it is.
 
-
-def wrap_heading_error(difference: float) -> float:
-    """A difference of two headings, wrapped into [-pi, pi).
-
-    A difference already inside the range is returned as it is:
-    :func:`wrap_angle` would move the last bits of some of those.
+    ``(angle + pi) % 2pi - pi`` carries the absolute error of argument
+    reduction: it would round an in-range angle to the float spacing of
+    pi and flush one under 2.2e-16 to zero.
     """
-    if -math.pi <= difference < math.pi:
-        return difference
-    return wrap_angle(difference)
+    if -math.pi <= angle < math.pi:
+        return angle
+    return (angle + math.pi) % (2.0 * math.pi) - math.pi
 
 
 def normalize_state(state) -> list:

@@ -160,7 +160,7 @@ def cascade_step(
     -g*phi) while a positive x error demands positive pitch (+g*theta),
     so the pitch outer loop consumes the negated error to keep one
     shared gain sign for both axes.  The yaw loop takes the heading
-    error through :func:`model.wrap_heading_error`.
+    error through :func:`model.wrap_angle`.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -182,5 +182,5 @@ def cascade_step(
     u3 = pid_step(config.pitch_inner, memory.pitch_inner,
                   memory.theta_ref - state[model.THETA], dt)
     u4 = pid_step(config.yaw, memory.yaw,
-                  model.wrap_heading_error(references.psi_ref - state[model.PSI]), dt)
+                  model.wrap_angle(references.psi_ref - state[model.PSI]), dt)
     return [thrust_ff + u1, u2, u3, u4]

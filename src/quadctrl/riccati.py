@@ -311,11 +311,14 @@ def solve_care(
     solution, and ``iterations`` counts its Newton steps over all
     blocks.
 
-    Raises :class:`NotStabilizable` when the controllability rank check
-    fails on a decoupled block and :class:`NoConvergence` when
+    Raises ``ValueError`` for an unknown ``method``, before any other
+    check; :class:`NotStabilizable` when the controllability rank check
+    fails on a decoupled block; and :class:`NoConvergence` when
     ``MAX_NEWTON_STEPS`` Newton steps on a block do not reach the
-    tolerance.
+    tolerance, or when the solution of either method misses it.
     """
+    if method not in ("newton", "hamiltonian"):
+        raise ValueError(f"unknown method {method!r}")
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     n = A.shape[0]
@@ -333,35 +336,31 @@ def solve_care(
         # optimal policy applies no control).
         return CareSolution(S=np.zeros((n, n)), residual_norm=0.0, iterations=0)
 
+    iterations = 0
     if method == "hamiltonian":
         S = _solve_care_hamiltonian(A, B, weights)
-        residual, tol = care_residual(A, B, S, weights), _residual_bound(A, B, S, weights)
-        if not residual <= tol:
-            raise NoConvergence(
-                f"Hamiltonian-eigenvector residual {residual:.3e} above "
-                f"tolerance {tol:.3e}")
-        return CareSolution(S=S, residual_norm=residual, iterations=0)
-    if method != "newton":
-        raise ValueError(f"unknown method {method!r}")
-
-    S = np.zeros((n, n))
-    iterations = 0
-    for states, inputs in blocks:
-        square = np.ix_(states, states)
-        block_q = weights.Q[square]
-        # An unweighted block keeps S = 0, as Q = 0 does.
-        if not block_q.any():
-            continue
-        block_weights = LqrWeights(Q=block_q, R=weights.R[np.ix_(inputs, inputs)])
-        S[square], steps = _newton(A[square], B[np.ix_(states, inputs)], block_weights)
-        iterations += steps
+    else:
+        S = np.zeros((n, n))
+        for states, inputs in blocks:
+            square = np.ix_(states, states)
+            block_q = weights.Q[square]
+            # An unweighted block keeps S = 0, as Q = 0 does.
+            if not block_q.any():
+                continue
+            block_weights = LqrWeights(Q=block_q, R=weights.R[np.ix_(inputs, inputs)])
+            S[square], steps = _newton(A[square], B[np.ix_(states, inputs)], block_weights)
+            iterations += steps
     residual, tol = care_residual(A, B, S, weights), _residual_bound(A, B, S, weights)
     if not residual <= tol:
         raise NoConvergence(
-            f"assembled Riccati residual {residual:.3e} above tolerance {tol:.3e}")
+            f"Riccati residual {residual:.3e} of the {method} solution above "
+            f"tolerance {tol:.3e}")
     return CareSolution(S=S, residual_norm=residual, iterations=iterations)
 
 
+# A refused gain is reported by its exception alone, not also by
+# numpy's overflow warnings on the way to it.
+@np.errstate(over="ignore", invalid="ignore")
 def lqr_gain(A: np.ndarray, B: np.ndarray, weights: LqrWeights) -> np.ndarray:
     """Optimal full-state feedback gain K = R^-1 B' S, one row per input.
 
@@ -439,10 +438,10 @@ def feedback_control(
 
     ``state`` may be any float sequence of the 12 states; ``reference``
     and ``u_equilibrium`` are float arrays.  The psi component of the
-    deviation is a heading error, wrapped by
-    :func:`model.wrap_heading_error`.  ``K @`` stays a BLAS matvec: a
-    Python dot product sums in another order and moves the last bits.
+    deviation is a heading error, wrapped by :func:`model.wrap_angle`.
+    ``K @`` stays a BLAS matvec: a Python dot product sums in another
+    order and moves the last bits.
     """
     deviation = np.subtract(state, reference)
-    deviation[model.PSI] = model.wrap_heading_error(deviation[model.PSI])
+    deviation[model.PSI] = model.wrap_angle(deviation[model.PSI])
     return u_equilibrium - K @ deviation

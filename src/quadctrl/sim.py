@@ -272,8 +272,8 @@ def run_closed_loop(scenario: Scenario, controller, params: QuadrotorParams) -> 
     The controller is reset first, then stepped once per grid interval;
     the control computed at each sample is held across the following
     step.  In nonlinear mode phi and psi are wrapped into [-pi, pi)
-    in the initial state (an angle already in range keeps its bits) and
-    after every step, and exceeding the pitch bound raises
+    in the initial state and after every step (an angle already in range
+    keeps its bits), and exceeding the pitch bound raises
     :class:`ThetaOutOfRange`; the linear plant needs neither.
     """
     n_steps = scenario.sample_count - 1
@@ -290,8 +290,7 @@ def run_closed_loop(scenario: Scenario, controller, params: QuadrotorParams) -> 
     controller.reset()
     state = scenario.initial_state.tolist()
     if nonlinear:
-        for angle in (model.PHI, model.PSI):
-            state[angle] = model.wrap_heading_error(state[angle])
+        state = model.normalize_state(state)
     states[0] = state
     for i in range(n_steps):
         u = controller.control(state, scenario.references, scenario.dt)

@@ -229,6 +229,14 @@ def test_criterion_7_case2_regulation(case2_trajectories):
             assert lqr_peaks <= pid_peaks
 
 
+def test_case2_lqr_heading_regulates_below_the_spacing_of_pi(case2_trajectories):
+    # the per-step wrap keeps psi's bits, so psi decays past 4.4e-16,
+    # the float spacing of pi, without being rounded to a multiple of it
+    psi = compute_metrics(case2_trajectories[0], "psi", reference=0.0)
+    assert psi.overshoot == 0.0
+    assert abs(psi.steady_state_value) < 1e-20
+
+
 def test_criterion_8_case3_yaw_transient(case3_trajectories):
     with criterion(8, "case 3: yaw step and rate transient"):
         lqr_traj, pid_traj = case3_trajectories

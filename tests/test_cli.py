@@ -33,6 +33,7 @@ from quadctrl.cli import (
     trajectory_csv,
 )
 from quadctrl.pid import Setpoints
+from quadctrl.riccati import DEFAULT_Q_DIAGONAL
 from quadctrl.sim import CASE2_INITIAL_STATE, Trajectory, scenario_case
 
 FAST_SIM = {"sim": {"dt": 0.01, "t_final": 2.0}}
@@ -216,6 +217,25 @@ class TestCmdRun:
         assert result.stderr == ("simulation diverged: NonFiniteState: "
                                  "state became non-finite after a zero-order-hold step\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("document", [
+        {"lqr": {"q_diag": [q * 1e100 for q in DEFAULT_Q_DIAGONAL]}},
+        {"params": {"ixx": 1e-300}},
+    ])
+    def test_refused_gain_is_one_stderr_line(self, tmp_path, document):
+        # numpy's overflow warnings on the way to the refusal must not
+        # reach stderr ahead of it
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(document), encoding="utf-8")
+        src = str(Path(quadctrl.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        result = subprocess.run(
+            [sys.executable, "-m", "quadctrl", "--config", str(config), "gain"],
+            env=env, capture_output=True, text=True)
+        assert result.returncode == 1
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("config error: ")
 
     def test_pid_run(self, tmp_path):
         config = parse_config(json.dumps(FAST_SIM))

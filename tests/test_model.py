@@ -11,8 +11,8 @@ from quadctrl.model import (
     PSI,
     THETA,
     normalize_state,
+    step,
     wrap_angle,
-    wrap_heading_error,
 )
 
 
@@ -94,13 +94,21 @@ class TestAngles:
         assert wrap_angle(0.3) == pytest.approx(0.3)
 
     def test_heading_error_kept_in_range_and_wrapped_outside(self):
-        # wrap_angle rounds some in-range values; the heading error must not
-        assert wrap_angle(0.1) != 0.1
-        for error in (0.1, -math.pi, math.nextafter(math.pi, 0.0), -3.0):
-            assert wrap_heading_error(error) == error
-        assert wrap_heading_error(math.pi) == pytest.approx(-math.pi)
-        assert wrap_heading_error(3.1 - (-3.1)) == pytest.approx(6.2 - 2.0 * math.pi)
-        assert wrap_heading_error(-3.5) == pytest.approx(2.0 * math.pi - 3.5)
+        # (a + pi) % 2pi - pi would round 0.1 and flush 1e-20 to zero
+        for error in (0.1, 1e-20, -math.pi, math.nextafter(math.pi, 0.0), -3.0):
+            assert wrap_angle(error) == error
+        assert wrap_angle(math.pi) == pytest.approx(-math.pi)
+        assert wrap_angle(3.1 - (-3.1)) == pytest.approx(6.2 - 2.0 * math.pi)
+        assert wrap_angle(-3.5) == pytest.approx(2.0 * math.pi - 3.5)
+
+    def test_step_keeps_tiny_in_range_angles(self, params):
+        # from hover with p = r = 0, phi and psi do not move, so the
+        # per-step wrap must hand them back bit for bit
+        state, u = hover_equilibrium(params)
+        state = state.tolist()
+        state[PHI], state[PSI] = 1e-20, -3e-17
+        out = step(state, u.tolist(), 1e-3, params)
+        assert out[PHI] == 1e-20 and out[PSI] == -3e-17
 
     def test_normalize_state_wraps_phi_psi_only(self):
         state = np.zeros(12)

@@ -349,8 +349,11 @@ class TestSolveCare:
         assert not lqr_gain(hover_ss.A, hover_ss.B, weights).any()
 
     def test_bad_method_rejected(self, hover_ss, default_weights):
-        with pytest.raises(ValueError, match="method"):
-            solve_care(hover_ss.A, hover_ss.B, default_weights, method="qz")
+        # refused before the Q = 0 shortcut could answer
+        zero_q = LqrWeights(Q=np.zeros((12, 12)), R=default_weights.R)
+        for weights in (default_weights, zero_q):
+            with pytest.raises(ValueError, match="method"):
+                solve_care(hover_ss.A, hover_ss.B, weights, method="qz")
 
     def test_one_dimensional_input_matrix_rejected(self):
         # B is one column per input; a bare vector is refused, not reshaped

@@ -190,7 +190,7 @@ class TestInitialWrap:
         assert np.array_equal(trajectory.controls, same.controls)
 
     def test_in_range_initial_state_keeps_its_bits(self, params):
-        # wrap_angle(0.2) and wrap_angle(3.1) move the last bits
+        # (a + pi) % 2pi - pi would move the last bits of 0.2 and 3.1
         start = np.array(CASE2_INITIAL_STATE)
         start[PHI], start[PSI] = 0.2, 3.1
         for initial_state in (CASE2_INITIAL_STATE, start, -start):

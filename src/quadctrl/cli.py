@@ -17,7 +17,7 @@ artifacts carry each float's shortest repr that reads back to the same
 value.  Outputs use Unix newlines, so repeated runs of the same config
 are byte-identical.
 
-Exit codes: 0 success, 1 configuration error, 2 simulation divergence.
+Exit codes: 0 success, 1 config or output error, 2 simulation divergence.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import TextIO
@@ -367,16 +368,25 @@ def main(argv=None) -> int:
     subparsers.add_parser("gain", help="print the LQR gain matrix")
 
     args = parser.parse_args(argv)
+    stage = "config"    # an OSError is the config's fault only while it is read
     try:
         config = _load_config(args.config)
+        stage = "output"
         if args.command == "run":
             return cmd_run(config, args.controller, args.out)
         if args.command == "compare":
             return cmd_compare(config, args.out)
-        if args.command == "linearize":
-            return cmd_linearize(config)
-        return cmd_gain(config)
-    except (OSError, SchemaError, ValueError, riccati.NotStabilizable,
+        code = cmd_linearize(config) if args.command == "linearize" else cmd_gain(config)
+        sys.stdout.flush()    # a full disk fails here, not at interpreter exit
+        return code
+    except OSError as exc:
+        print(f"{stage} error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:    # drop what stdout cannot take, or exit flushes it again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (SchemaError, ValueError, riccati.NotStabilizable,
             riccati.NoConvergence) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

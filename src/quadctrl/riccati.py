@@ -75,33 +75,33 @@ class NotStabilizable(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """Newton iteration exhausted MAX_NEWTON_STEPS without meeting tolerance."""
+    """No acceptable Riccati solution or gain for the weights."""
 
 
 @dataclass(frozen=True)
 class LqrWeights:
     """State weight Q (symmetric PSD) and input weight R (symmetric PD).
 
-    Both are stored as read-only copies, so the checks below keep holding.
+    Both are stored as read-only symmetric parts, so the checks keep holding.
     """
 
     Q: np.ndarray
     R: np.ndarray
 
     def __post_init__(self) -> None:
-        Q = np.atleast_2d(np.array(self.Q, dtype=float))
-        R = np.atleast_2d(np.array(self.R, dtype=float))
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "R", R)
-        for name, M in (("Q", Q), ("R", R)):
-            M.setflags(write=False)
+        for name in ("Q", "R"):
+            M = np.atleast_2d(np.array(getattr(self, name), dtype=float))
             if M.ndim != 2 or M.shape[0] != M.shape[1]:
                 raise ValueError(f"{name} must be square, got shape {M.shape}")
             if not np.allclose(M, M.T, rtol=0.0, atol=1e-10 * max(1.0, float(np.abs(M).max()))):
                 raise ValueError(f"{name} must be symmetric")
-        if float(np.linalg.eigvalsh(Q).min()) < -1e-12:
+            # halved before the sum, which then cannot overflow
+            M = 0.5 * M + 0.5 * M.T
+            M.setflags(write=False)
+            object.__setattr__(self, name, M)
+        if float(np.linalg.eigvalsh(self.Q).min()) < -1e-12:
             raise ValueError("Q must be positive semidefinite")
-        if float(np.linalg.eigvalsh(R).min()) <= 0.0:
+        if float(np.linalg.eigvalsh(self.R).min()) <= 0.0:
             raise ValueError("R must be positive definite")
 
     @classmethod
@@ -315,7 +315,7 @@ def solve_care(
     check; :class:`NotStabilizable` when the controllability rank check
     fails on a decoupled block; and :class:`NoConvergence` when
     ``MAX_NEWTON_STEPS`` Newton steps on a block do not reach the
-    tolerance, or when the solution of either method misses it.
+    tolerance, or when the solution of either method overflows or misses it.
     """
     if method not in ("newton", "hamiltonian"):
         raise ValueError(f"unknown method {method!r}")
@@ -351,6 +351,9 @@ def solve_care(
             S[square], steps = _newton(A[square], B[np.ix_(states, inputs)], block_weights)
             iterations += steps
     residual, tol = care_residual(A, B, S, weights), _residual_bound(A, B, S, weights)
+    # an overflowed residual meets its overflowed bound: inf <= inf
+    if not np.isfinite(residual):
+        raise NoConvergence(f"Riccati residual of the {method} solution overflowed")
     if not residual <= tol:
         raise NoConvergence(
             f"Riccati residual {residual:.3e} of the {method} solution above "

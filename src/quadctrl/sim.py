@@ -17,8 +17,8 @@ plants are tested against.  On the nonlinear plant phi and psi of the
 initial state are wrapped into [-pi, pi) before the first step, and
 after every step.  The scalar code evaluates in the same order as array
 arithmetic and the LQR keeps its BLAS matvec, so the bits match an
-ndarray run.  A controller is any object with ``reset()`` and
-``control(state, references, dt)`` returning u as a list of 4 floats.
+ndarray run.  A controller is any object with ``reset(references, dt)``
+and ``control(state)`` returning u as a list of 4 floats.
 """
 
 from __future__ import annotations
@@ -219,31 +219,18 @@ def scenario_case(case_id: int, **overrides) -> Scenario:
 
 
 class LqrController:
-    """Full-state feedback u = u_hover - K (x - x_ref), memoryless.
-
-    x_ref is built once per :class:`Setpoints` object (they are
-    frozen), not once per step.
-    """
+    """Full-state feedback u = u_hover - K (x - x_ref), memoryless."""
 
     def __init__(self, K: np.ndarray, params: QuadrotorParams):
         self.K = np.asarray(K, dtype=float)
         _, self.u_equilibrium = model.hover_equilibrium(params)
-        # (Setpoints, its reference state), replaced whole so that runs
-        # sharing this controller never pair one with the other's x_ref
-        self._x_ref = (None, None)
 
-    def reset(self) -> None:
-        pass
+    def reset(self, references: Setpoints, dt: float) -> None:
+        self._x_ref = references.reference_state()
 
-    def control(self, state: Sequence[float], references: Setpoints,
-                dt: float) -> list[float]:
-        del dt
-        cached, x_ref = self._x_ref
-        if cached is not references:
-            x_ref = references.reference_state()
-            self._x_ref = (references, x_ref)
+    def control(self, state: Sequence[float]) -> list[float]:
         return riccati.feedback_control(
-            self.K, state, x_ref, self.u_equilibrium).tolist()
+            self.K, state, self._x_ref, self.u_equilibrium).tolist()
 
 
 class PidCascadeController:
@@ -252,15 +239,14 @@ class PidCascadeController:
     def __init__(self, config: CascadeConfig, params: QuadrotorParams):
         self.config = config
         self.params = params
+
+    def reset(self, references: Setpoints, dt: float) -> None:
+        self._references, self._dt = references, dt
         self._memory = CascadeMemory()
 
-    def reset(self) -> None:
-        self._memory = CascadeMemory()
-
-    def control(self, state: Sequence[float], references: Setpoints,
-                dt: float) -> list[float]:
+    def control(self, state: Sequence[float]) -> list[float]:
         return cascade_step(
-            self.config, state, references, self._memory, dt, self.params)
+            self.config, state, self._references, self._memory, self._dt, self.params)
 
 
 # A diverging run is reported by the finiteness checks alone, not also
@@ -269,12 +255,12 @@ class PidCascadeController:
 def run_closed_loop(scenario: Scenario, controller, params: QuadrotorParams) -> Trajectory:
     """Simulate controller + plant over the scenario grid.
 
-    The controller is reset first, then stepped once per grid interval;
-    the control computed at each sample is held across the following
-    step.  In nonlinear mode phi and psi are wrapped into [-pi, pi)
-    in the initial state and after every step (an angle already in range
-    keeps its bits), and exceeding the pitch bound raises
-    :class:`ThetaOutOfRange`; the linear plant needs neither.
+    The controller is reset to the scenario's references and dt, then
+    stepped once per grid interval; the control computed at each sample
+    is held across the following step.  In nonlinear mode phi and psi
+    are wrapped into [-pi, pi) in the initial state and after every step
+    (an angle already in range keeps its bits), and exceeding the pitch
+    bound raises :class:`ThetaOutOfRange`; the linear plant needs neither.
     """
     n_steps = scenario.sample_count - 1
     times = np.arange(scenario.sample_count) * scenario.dt
@@ -287,13 +273,13 @@ def run_closed_loop(scenario: Scenario, controller, params: QuadrotorParams) -> 
         Phi, Gamma = zoh(ss.A, ss.B, scenario.dt)
         _, u_eq = model.hover_equilibrium(params)
 
-    controller.reset()
+    controller.reset(scenario.references, scenario.dt)
     state = scenario.initial_state.tolist()
     if nonlinear:
         state = model.normalize_state(state)
     states[0] = state
     for i in range(n_steps):
-        u = controller.control(state, scenario.references, scenario.dt)
+        u = controller.control(state)
         controls[i] = u
         if nonlinear:
             state = model.step(state, u, scenario.dt, params)
@@ -308,7 +294,7 @@ def run_closed_loop(scenario: Scenario, controller, params: QuadrotorParams) -> 
                 raise NonFiniteState("state became non-finite after a zero-order-hold step")
         states[i + 1] = state
     # control at the final sample, so every row carries its input
-    controls[n_steps] = controller.control(state, scenario.references, scenario.dt)
+    controls[n_steps] = controller.control(state)
     return Trajectory(times=times, states=states, controls=controls)
 
 

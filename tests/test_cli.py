@@ -436,6 +436,37 @@ class TestMainEntry:
         cfg.write_text(json.dumps(linear))
         assert main(["--config", str(cfg), "gain"]) == 0
 
+    def test_unwritable_out_dir_is_an_output_error(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(FAST_SIM))
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        for command in (["run", "--controller", "pid"], ["compare"]):
+            assert main(["--config", str(cfg), *command, "--out", str(blocker / "sub")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("output error: ")
+            assert len(err.splitlines()) == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_full_stdout_is_an_output_error(self, unbuffered):
+        # block-buffered stdout fails only when flushed, which must happen
+        # inside main rather than at interpreter exit
+        src = str(Path(quadctrl.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        for command in ("gain", "linearize"):
+            with open("/dev/full", "w") as full:
+                result = subprocess.run([sys.executable, "-m", "quadctrl", command],
+                                        env=env, stdout=full, stderr=subprocess.PIPE,
+                                        text=True)
+            assert result.returncode == 1
+            assert result.stderr.startswith("output error: ")
+            assert len(result.stderr.splitlines()) == 1
+
     def test_import_leaves_unused_scipy_out(self, tmp_path):
         # numpy is the only runtime dependency: with scipy blocked, a
         # fresh interpreter prints the gain and runs a short LQR run and

@@ -174,7 +174,8 @@ class TestCascadeStep:
         refs = Setpoints(z_ref=1.0, x_ref=0.5, y_ref=-0.5, psi_ref=0.3)
         u = cascade_step(CascadeConfig(), state, refs, CascadeMemory(), 0.001, params)
         controller = PidCascadeController(CascadeConfig(), params)
-        for out in (u, controller.control(state, refs, 0.001)):
+        controller.reset(refs, 0.001)
+        for out in (u, controller.control(state)):
             assert type(out) is list
             assert [type(v) for v in out] == [float] * 4
 
@@ -196,10 +197,11 @@ class TestCascadeStep:
 class TestCascadeReset:
     def test_reset_then_zero_error_is_feedforward_only(self, params):
         controller = PidCascadeController(CascadeConfig(), params)
+        controller.reset(Setpoints(z_ref=1.0), 0.001)
         for _ in range(10):
-            controller.control(np.ones(12) * 0.1, Setpoints(z_ref=1.0), 0.001)
-        controller.reset()
-        u = controller.control(np.zeros(12), Setpoints(), 0.001)
+            controller.control(np.ones(12) * 0.1)
+        controller.reset(Setpoints(), 0.001)
+        u = controller.control(np.zeros(12))
         assert u == pytest.approx([9.81, 0.0, 0.0, 0.0], abs=1e-15)
 
     def test_reset_is_idempotent(self, params, rng):
@@ -207,12 +209,12 @@ class TestCascadeReset:
 
         def outputs(resets):
             controller = PidCascadeController(CascadeConfig(), params)
+            controller.reset(Setpoints(z_ref=1.0), 0.001)
             for s in states:
-                controller.control(s, Setpoints(z_ref=1.0), 0.001)
+                controller.control(s)
             for _ in range(resets):
-                controller.reset()
-            return [controller.control(s, Setpoints(z_ref=1.0), 0.001)
-                    for s in states]
+                controller.reset(Setpoints(z_ref=1.0), 0.001)
+            return [controller.control(s) for s in states]
 
         assert outputs(2) == outputs(1)
 
@@ -226,7 +228,8 @@ class TestCascadeReset:
 
     def test_reset_clears_saturated_integrator(self, params):
         controller = PidCascadeController(CascadeConfig(), params)
+        controller.reset(Setpoints(), 0.001)
         controller._memory.thrust = PidState(integral=1e6, previous_error=3.0)
-        controller.reset()
-        u = controller.control(np.zeros(12), Setpoints(), 0.001)
+        controller.reset(Setpoints(), 0.001)
+        u = controller.control(np.zeros(12))
         assert u == pytest.approx([9.81, 0.0, 0.0, 0.0], abs=1e-15)

@@ -342,6 +342,15 @@ class TestSolveCare:
         unstable = sum(np.linalg.eigvals(A).real.max() >= 0.0 for A, _, _ in systems[1:])
         assert len(shifted_starts) == len(HOVER_BLOCKS) + unstable
 
+    def test_overflowed_residual_refused(self, hover_ss, default_weights):
+        # the stock weights times 1e100: S stays finite, but its quadratic
+        # term overflows, and an inf residual is not under an inf bound
+        weights = LqrWeights(Q=default_weights.Q * 1e100, R=default_weights.R)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for solve in (solve_care, lqr_gain):
+                with pytest.raises(NoConvergence, match="overflowed"):
+                    solve(hover_ss.A, hover_ss.B, weights)
+
     def test_zero_state_weight_gives_zero_solution(self, hover_ss):
         weights = LqrWeights(Q=np.zeros((12, 12)), R=np.diag([1.0, 0.001, 0.001, 0.001]))
         sol = solve_care(hover_ss.A, hover_ss.B, weights)
@@ -506,6 +515,19 @@ class TestLqrWeights:
                 M[0, 0] = -5.0
         Q[0, 0] = R[0, 0] = -5.0
         assert w.Q[0, 0] == w.R[0, 0] == 1.0
+
+    def test_near_symmetric_weights_reach_the_solver(self):
+        # within the tolerance of the largest entry, 1e-4, but not within
+        # that of the 2x2 block {1, 2} the solver cuts out
+        Q = np.array([[1e6, 0.0, 0.0], [0.0, 1.0, 2e-5], [0.0, 0.0, 1.0]])
+        w = LqrWeights(Q=Q, R=np.eye(3))
+        assert np.array_equal(w.Q, w.Q.T)
+        assert np.array_equal(w.Q, 0.5 * (Q + Q.T))
+        A, B = -np.eye(3), np.eye(3)
+        sol = solve_care(A, B, w)
+        assert care_residual(A, B, sol.S, w) <= 1e-9 * np.linalg.norm(Q)
+        K = lqr_gain(A, B, w)
+        assert np.linalg.eigvals(A - B @ K).real.max() < 0.0
 
     def test_from_diagonals(self):
         w = LqrWeights.from_diagonals([1.0, 2.0], [3.0])

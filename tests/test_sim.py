@@ -354,8 +354,9 @@ class TestFloatPathOracle:
 
 class TestControllerOutput:
     def test_lqr_list_state_gives_list_of_floats(self, params, default_gain):
-        u = LqrController(default_gain, params).control(
-            [0.01 * k for k in range(12)], Setpoints(z_ref=1.0, x_ref=0.5), 0.001)
+        controller = LqrController(default_gain, params)
+        controller.reset(Setpoints(z_ref=1.0, x_ref=0.5), 0.001)
+        u = controller.control([0.01 * k for k in range(12)])
         assert type(u) is list
         assert [type(v) for v in u] == [float] * 4
 
@@ -363,10 +364,15 @@ class TestControllerOutput:
         state = [0.0] * 12
         first, second = Setpoints(z_ref=1.0), Setpoints(z_ref=1.0, x_ref=0.5)
         controller = LqrController(default_gain, params)
-        outputs = [controller.control(state, refs, 0.001)
-                   for refs in (first, second, first, Setpoints(z_ref=1.0))]
-        fresh = [LqrController(default_gain, params).control(state, refs, 0.001)
-                 for refs in (first, second)]
+        outputs = []
+        for refs in (first, second, first, Setpoints(z_ref=1.0)):
+            controller.reset(refs, 0.001)
+            outputs.append(controller.control(state))
+        fresh = []
+        for refs in (first, second):
+            other = LqrController(default_gain, params)
+            other.reset(refs, 0.001)
+            fresh.append(other.control(state))
         assert outputs == [fresh[0], fresh[1], fresh[0], fresh[0]]
         assert fresh[0] != fresh[1]
 
@@ -379,9 +385,10 @@ class TestControllerOutput:
             state[PSI] = psi
             equivalent = [0.0] * 12
             equivalent[PSI] = error
-            u = controller.control(state, Setpoints(psi_ref=psi_ref), 0.001)
-            assert u == pytest.approx(
-                controller.control(equivalent, Setpoints(), 0.001), rel=1e-12)
+            controller.reset(Setpoints(psi_ref=psi_ref), 0.001)
+            u = controller.control(state)
+            controller.reset(Setpoints(), 0.001)
+            assert u == pytest.approx(controller.control(equivalent), rel=1e-12)
 
 
 class TestScenarioCase:

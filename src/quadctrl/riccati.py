@@ -28,8 +28,9 @@ small against the size of the terms it sums, and S is assembled with
 exact zeros between blocks; the assembled residual is checked against
 the same normalized bound.
 
-Controllability and detectability are decided block by block, so one
-block's scale cannot hide another block's rank.
+``solve_care`` splits the blocks once and decides each one there:
+detectability, then controllability, then the solve, so one block's
+scale cannot hide another block's rank.
 
 Lyapunov equations are solved as one n^2 x n^2 linear system, the
 Kronecker sum I kron F' + F' kron I, with one call to
@@ -91,6 +92,8 @@ class LqrWeights:
     def __post_init__(self) -> None:
         for name in ("Q", "R"):
             M = np.atleast_2d(np.array(getattr(self, name), dtype=float))
+            if not np.isfinite(M).all():
+                raise ValueError(f"{name} must be finite")
             if M.ndim != 2 or M.shape[0] != M.shape[1]:
                 raise ValueError(f"{name} must be square, got shape {M.shape}")
             if not np.allclose(M, M.T, rtol=0.0, atol=1e-10 * max(1.0, float(np.abs(M).max()))):
@@ -267,9 +270,12 @@ def _newton(A, B, weights: LqrWeights) -> tuple[np.ndarray, int]:
     Kleinman iterate is -dK' R dK for the gain update dK just taken, so
     it measures that step, not the error left.  Once it meets
     :func:`_residual_bound` the iteration is in its quadratic phase, and
-    one more step takes S to roundoff.
+    one more step takes S to roundoff.  A B R^-1 B' that overflows
+    raises ``OverflowError``.
     """
     gain_map = np.linalg.solve(weights.R, B.T)     # K = gain_map @ S
+    if not np.isfinite(B @ gain_map).all():
+        raise OverflowError("B R^-1 B' overflowed")
     K = None
     try:
         S = _solve_care_hamiltonian(A, B, weights)
@@ -302,53 +308,68 @@ def solve_care(
 ) -> CareSolution:
     """Solve the CARE for the stabilizing solution S.
 
-    The Frobenius norm of the Riccati residual must come within
-    ``RESIDUAL_RTOL`` times the summed norms of its terms, |Q| +
-    |A'S + SA| + |S B R^-1 B' S| (:func:`_residual_bound`).  ``method``
-    selects the Newton iteration (default) or the Hamiltonian
-    eigenvector solution alone.  The Newton path solves each decoupled
-    block on its own, warm-started from that block's Hamiltonian
-    solution, and ``iterations`` counts its Newton steps over all
-    blocks.
+    The plant is split once into decoupled blocks, and each block is
+    decided there, over all blocks in turn: (A, Q) detectability, then
+    the controllability rank, then the solve.  ``method`` selects the
+    Newton iteration on each block (default), warm-started from the
+    block's Hamiltonian solution, or the whole-system Hamiltonian
+    eigenvector solution alone.  An unweighted block keeps S = 0, and
+    Q = 0 gives S = 0 with no detectability test.  ``iterations``
+    counts Newton steps over all blocks.  The Frobenius norm of the
+    residual must come within ``RESIDUAL_RTOL`` times the summed norms
+    of its terms, |Q| + |A'S + SA| + |S B R^-1 B' S| (:func:`_residual_bound`).
 
     Raises ``ValueError`` for an unknown ``method``, before any other
-    check; :class:`NotStabilizable` when the controllability rank check
-    fails on a decoupled block; and :class:`NoConvergence` when
+    check.  Raises :class:`NoConvergence` naming state channels when a
+    nonzero Q leaves a mode with Re >= 0 unseen, or when a block's
+    observability matrix or B R^-1 B' overflows; :class:`NotStabilizable`
+    when a block fails the rank check; and :class:`NoConvergence` when
     ``MAX_NEWTON_STEPS`` Newton steps on a block do not reach the
-    tolerance, or when the solution of either method overflows or misses it.
+    tolerance, or when the solution overflows or misses it.
     """
     if method not in ("newton", "hamiltonian"):
         raise ValueError(f"unknown method {method!r}")
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     n = A.shape[0]
-    blocks = _decoupled_blocks(A, B, weights)
+    labels = (model.STATE_LABELS if n == model.STATE_DIM
+              else [f"state {i}" for i in range(n)])
 
-    for states, inputs in blocks:
-        if not is_controllable(A[np.ix_(states, states)], B[np.ix_(states, inputs)]):
+    def channels(states) -> str:
+        return ", ".join(labels[i] for i in states)
+
+    blocks = [(states, np.ix_(states, states), np.ix_(states, inputs), np.ix_(inputs, inputs))
+              for states, inputs in _decoupled_blocks(A, B, weights)]
+    if weights.Q.any():
+        unseen = []
+        for states, square, _, _ in blocks:
+            try:
+                unseen.extend(states[_undetectable_states(A[square], weights.Q[square])])
+            except OverflowError as exc:
+                raise NoConvergence(f"{exc} on {channels(states)}") from exc
+        if unseen:
+            raise NoConvergence("(A, Q) is not detectable: Q does not weight a mode "
+                                f"with Re >= 0 on {channels(sorted(unseen))}")
+
+    for _, square, rect, _ in blocks:
+        if not is_controllable(A[square], B[rect]):
             raise NotStabilizable(
                 "controllability matrix is rank deficient; cannot guarantee a "
                 "stabilizing solution"
             )
 
-    if not weights.Q.any():
-        # Zero state weight: S = 0 solves the equation exactly (the
-        # optimal policy applies no control).
-        return CareSolution(S=np.zeros((n, n)), residual_norm=0.0, iterations=0)
-
-    iterations = 0
-    if method == "hamiltonian":
+    S, iterations = np.zeros((n, n)), 0
+    if method == "hamiltonian" and weights.Q.any():
         S = _solve_care_hamiltonian(A, B, weights)
     else:
-        S = np.zeros((n, n))
-        for states, inputs in blocks:
-            square = np.ix_(states, states)
-            block_q = weights.Q[square]
-            # An unweighted block keeps S = 0, as Q = 0 does.
-            if not block_q.any():
+        for states, square, rect, input_square in blocks:
+            if not weights.Q[square].any():
                 continue
-            block_weights = LqrWeights(Q=block_q, R=weights.R[np.ix_(inputs, inputs)])
-            S[square], steps = _newton(A[square], B[np.ix_(states, inputs)], block_weights)
+            try:
+                S[square], steps = _newton(A[square], B[rect], LqrWeights(
+                    Q=weights.Q[square], R=weights.R[input_square]))
+            except OverflowError as exc:
+                raise NoConvergence(f"{exc} on {channels(states)}") from exc
             iterations += steps
     residual, tol = care_residual(A, B, S, weights), _residual_bound(A, B, S, weights)
     # an overflowed residual meets its overflowed bound: inf <= inf
@@ -367,29 +388,15 @@ def solve_care(
 def lqr_gain(A: np.ndarray, B: np.ndarray, weights: LqrWeights) -> np.ndarray:
     """Optimal full-state feedback gain K = R^-1 B' S, one row per input.
 
-    For a block-decoupled plant the gain is exactly zero between blocks,
-    because the Newton solve assembles S block by block.  A nonzero Q
-    must make (A, Q) detectable: a mode with Re >= 0 that Q does not see
-    is left unstabilized by the optimal policy, so such weights are
-    refused with :class:`NoConvergence` naming the state channels that
-    carry the mode.  Detectability is decided on each decoupled block.
-    Q = 0 gives K = 0 (no control).
+    S is :func:`solve_care`'s, with its refusals: weights that leave a
+    mode with Re >= 0 unseen raise :class:`NoConvergence` naming its
+    state channels.  The gain is exactly zero between decoupled blocks,
+    and Q = 0 gives K = 0 (no control).  A nonzero K that leaves
+    A - B K short of Hurwitz raises :class:`NoConvergence`.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    if np.any(weights.Q):
-        unseen = np.sort(np.concatenate([
-            states[_undetectable_states(A[np.ix_(states, states)],
-                                        weights.Q[np.ix_(states, states)])]
-            for states, _ in _decoupled_blocks(A, B, weights)]))
-        if unseen.size:
-            labels = (model.STATE_LABELS if A.shape[0] == model.STATE_DIM
-                      else [f"state {i}" for i in range(A.shape[0])])
-            raise NoConvergence(
-                "(A, Q) is not detectable: Q does not weight a mode with "
-                "Re >= 0 on " + ", ".join(labels[i] for i in unseen))
-    solution = solve_care(A, B, weights)
-    K = np.linalg.solve(weights.R, B.T @ solution.S)
+    K = np.linalg.solve(weights.R, B.T @ solve_care(A, B, weights).S)
     if np.any(K):
         closed_eigs = np.linalg.eigvals(A - B @ K)
         if float(closed_eigs.real.max()) >= 0.0:
@@ -410,9 +417,12 @@ def _undetectable_states(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     product of (A_u - lambda I) over the strictly stable eigenvalues
     lambda of A_u annihilates their invariant subspace, so its range is
     the invariant subspace of the other modes; its leading left
-    singular vectors, as many as there are such modes, span it.
+    singular vectors, as many as there are such modes, span it.  An
+    observability matrix that overflows raises ``OverflowError``.
     """
     observability = controllability_matrix(A.T, Q).T
+    if not np.isfinite(observability).all():
+        raise OverflowError("observability matrix of (A, Q) overflowed")
     _, sigma, vt = np.linalg.svd(observability)
     # numpy's matrix_rank threshold: weights ~1e-13 below the largest count as zero
     cutoff = sigma[0] * max(observability.shape) * np.finfo(float).eps

@@ -316,6 +316,21 @@ class TestMatrixCommands:
         assert captured.err == ("config error: (A, Q) is not detectable: Q does not "
                                 "weight a mode with Re >= 0 on psi\n")
 
+    @pytest.mark.parametrize("document, message", [
+        ({"lqr": {"q_diag": [1e308, 200, 1.71, 600, 1400, 10, 60, 60, 2.0, 0.25, 10, 1]}},
+         "observability matrix of (A, Q) overflowed on x, theta, xdot, q"),
+        ({"params": {"ixx": 1e-300}}, "B R^-1 B' overflowed on y, phi, ydot, p"),
+    ], ids=["x-weight-1e308", "ixx-1e-300"])
+    def test_overflowing_block_refused_by_cause(self, tmp_path, capsys, document, message):
+        # the refusal names what overflowed and on which block, not
+        # numpy's "SVD did not converge" or "infs or NaNs"
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(document))
+        assert main(["--config", str(cfg), "gain"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
     @pytest.mark.parametrize("document", [
         {"params": {"m": 1e5}},
         {"lqr": {"q_diag": [1e13, 200, 1.71, 600, 1400, 10, 60, 60, 2.0, 0.25, 10, 1]}},

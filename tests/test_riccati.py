@@ -432,13 +432,13 @@ class TestBlockSolve:
         assert not K[roll_input, np.setdiff1d(np.arange(12), roll_states)].any()
 
     def test_unweighted_block_keeps_zero_solution(self, hover_ss, default_weights):
-        # no weight on psi or r: the yaw block keeps S = 0, so the gain
-        # leaves its marginal modes unstabilized and is refused
+        # no weight on psi or r: S = 0 on the yaw block would leave its
+        # marginal modes unstabilized, so solve_care refuses it by name
         Q = default_weights.Q.copy()
         Q[5, 5] = Q[11, 11] = 0.0
         weights = LqrWeights(Q=Q, R=default_weights.R)
-        S = solve_care(hover_ss.A, hover_ss.B, weights).S
-        assert not S[[5, 11]].any()
+        with pytest.raises(NoConvergence, match="not detectable.* on psi, r$"):
+            solve_care(hover_ss.A, hover_ss.B, weights)
         with pytest.raises(NoConvergence):
             lqr_gain(hover_ss.A, hover_ss.B, weights)
 
@@ -459,6 +459,25 @@ class TestBlockSolve:
         # an unweighted unstable mode is refused, named by its index
         with pytest.raises(NoConvergence, match="on state 0$"):
             lqr_gain(np.diag([1.0, 0.0]), B, LqrWeights(Q=Q, R=R))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(mask=st.one_of(st.integers(1, 2 ** 12 - 1),
+                          # x, y, z and psi weighted: detectable for every
+                          # choice of the other eight
+                          st.integers(0, 2 ** 12 - 1).map(lambda mask: mask | 0b100111)))
+    def test_refused_exactly_when_undetectable(self, hover_ss, mask):
+        weights = LqrWeights.from_diagonals([float(mask >> i & 1) for i in range(12)],
+                                            DEFAULT_R_DIAGONAL)
+        if _undetectable_states(hover_ss.A, weights.Q).size:
+            with pytest.raises(NoConvergence, match="not detectable"):
+                solve_care(hover_ss.A, hover_ss.B, weights)
+            return
+        S = solve_care(hover_ss.A, hover_ss.B, weights).S
+        K = np.linalg.solve(weights.R, hover_ss.B.T @ S)
+        assert np.linalg.eigvals(hover_ss.A - hover_ss.B @ K).real.max() < 0.0
+        for states, u in HOVER_BLOCKS:
+            outside = np.setdiff1d(np.arange(12), states)
+            assert np.all(K[u, outside] == 0.0)
 
     def test_undetectable_states_match_schur_on_hover_masks(self, hover_ss):
         # every nonzero diagonal 0/1 weight on the 12 hover states
@@ -506,6 +525,15 @@ class TestLqrWeights:
     def test_rejects_singular_r(self):
         with pytest.raises(ValueError, match="positive definite"):
             LqrWeights(Q=np.eye(2), R=np.zeros((1, 1)))
+
+    def test_rejects_non_finite_weights(self):
+        # an infinite entry would give eigvalsh NaN, which passes both
+        # eigenvalue checks; a NaN one would be called asymmetric
+        for Q, R, name in ((np.diag([np.inf, 1.0]), np.eye(1), "Q"),
+                           (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.eye(1), "Q"),
+                           (np.eye(2), np.array([[np.nan]]), "R")):
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                LqrWeights(Q=Q, R=R)
 
     def test_weights_are_read_only_copies(self):
         Q, R = np.eye(2), np.eye(1)

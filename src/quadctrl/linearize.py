@@ -122,12 +122,23 @@ def controllability_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def is_controllable(A: np.ndarray, B: np.ndarray) -> bool:
-    """Whether the controllability matrix has full rank.
+@np.errstate(over="ignore", invalid="ignore")   # an overflow is refused below
+def controllable_subspace(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, int]:
+    """(U, rank) from the SVD of the controllability matrix, by numpy's ``matrix_rank`` rule.
 
-    Its numerical rank counts the singular values above 1e-8 times the
-    largest one.
+    U's first ``rank`` columns span the controllable subspace of (A, B),
+    the rest its orthogonal complement.  A controllability matrix, or a
+    rank cutoff, that overflows raises ``OverflowError``.
     """
-    sigma = np.linalg.svd(controllability_matrix(A, B), compute_uv=False)
-    rank = np.count_nonzero(sigma > 1e-8 * sigma.max(initial=0.0))
-    return bool(rank == np.asarray(A).shape[0])
+    ctrb = controllability_matrix(A, B)
+    if np.isfinite(ctrb).all():
+        u, sigma, _ = np.linalg.svd(ctrb)
+        cutoff = sigma.max(initial=0.0) * max(ctrb.shape) * np.finfo(float).eps
+        if np.isfinite(cutoff):
+            return u, int(np.count_nonzero(sigma > cutoff))
+    raise OverflowError("controllability matrix overflowed")
+
+
+def is_controllable(A: np.ndarray, B: np.ndarray) -> bool:
+    """Whether the controllability matrix has full rank, by :func:`controllable_subspace`."""
+    return controllable_subspace(A, B)[1] == np.asarray(A).shape[0]

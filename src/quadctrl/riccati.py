@@ -17,7 +17,7 @@ warm-started from the direct solution: the stable eigenvectors of the
 only refines it, so the start has to be close, not accurate.  If that
 solve fails or K0 does not stabilize A - B K0, the start falls back to
 a gain obtained by eigenvalue shifting (solve a Lyapunov equation for
-the shifted pair, invert the Gramian).
+the shifted pair, invert the Gramian), which needs (A, B) controllable.
 
 The problem is first split into blocks: states and inputs are joined
 by every nonzero of A, Q, B and R, and each connected component is a
@@ -28,9 +28,10 @@ small against the size of the terms it sums, and S is assembled with
 exact zeros between blocks; the assembled residual is checked against
 the same normalized bound.
 
-``solve_care`` splits the blocks once and decides each one there:
-detectability, then controllability, then the solve, so one block's
-scale cannot hide another block's rank.
+``solve_care`` splits the blocks once and decides each one there: (A, Q)
+detectable, then (A, B) stabilizable (Kucera 1972; one routine, numpy's
+rank rule), then the solve, so one block's scale cannot hide another
+block's rank.
 
 Lyapunov equations are solved as one n^2 x n^2 linear system, the
 Kronecker sum I kron F' + F' kron I, with one call to
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .linearize import controllability_matrix, is_controllable
+from .linearize import controllable_subspace, is_controllable
 
 # Default LQR weights for the 12-state hover model, in state order
 # [x, y, z, phi, theta, psi, xdot, ydot, zdot, p, q, r].  Tuned so the
@@ -72,7 +73,7 @@ MAX_NEWTON_STEPS = 100
 
 
 class NotStabilizable(ValueError):
-    """The (A, B) pair fails the controllability rank check."""
+    """(A, B) is not stabilizable, or not controllable where a start needs it."""
 
 
 class NoConvergence(RuntimeError):
@@ -181,7 +182,8 @@ def stabilizing_gain(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     Shift the spectrum into the open right half-plane, solve the
     Lyapunov equation (A + beta I) Z + Z (A + beta I)' = 2 B B' for the
     shifted Gramian Z > 0, and take K0 = B' Z^-1; then (A - B K0) obeys
-    a strict Lyapunov inequality with certificate Z.
+    a strict Lyapunov inequality with certificate Z.  Z is singular for
+    an uncontrollable pair, which raises :class:`NotStabilizable`.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -189,6 +191,8 @@ def stabilizing_gain(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     # strict margin: marginally-stable spectra still go through the shift
     if float(eig.real.max()) < -1e-9:
         return np.zeros((B.shape[1], A.shape[0]))
+    if not is_controllable(A, B):
+        raise NotStabilizable("the eigenvalue-shift gain needs a controllable (A, B)")
     beta = 1.0 + max(0.0, -float(eig.real.min()))
     M = -(A + beta * np.eye(A.shape[0]))
     Z = solve_lyapunov(M.T, 2.0 * (B @ B.T))
@@ -271,11 +275,15 @@ def _newton(A, B, weights: LqrWeights) -> tuple[np.ndarray, int]:
     it measures that step, not the error left.  Once it meets
     :func:`_residual_bound` the iteration is in its quadratic phase, and
     one more step takes S to roundoff.  A B R^-1 B' that overflows
-    raises ``OverflowError``.
+    raises ``OverflowError``; one that is zero, which on a block's
+    nonzero B only underflow makes, raises ``FloatingPointError``.
     """
     gain_map = np.linalg.solve(weights.R, B.T)     # K = gain_map @ S
-    if not np.isfinite(B @ gain_map).all():
+    G = B @ gain_map
+    if not np.isfinite(G).all():
         raise OverflowError("B R^-1 B' overflowed")
+    if not G.any():
+        raise FloatingPointError("B R^-1 B' underflowed to zero")
     K = None
     try:
         S = _solve_care_hamiltonian(A, B, weights)
@@ -310,11 +318,12 @@ def solve_care(
 
     The plant is split once into decoupled blocks, and each block is
     decided there, over all blocks in turn: (A, Q) detectability, then
-    the controllability rank, then the solve.  ``method`` selects the
+    (A, B) stabilizability, then the solve.  ``method`` selects the
     Newton iteration on each block (default), warm-started from the
     block's Hamiltonian solution, or the whole-system Hamiltonian
     eigenvector solution alone.  An unweighted block keeps S = 0, and
-    Q = 0 gives S = 0 with no detectability test.  ``iterations``
+    Q = 0 gives S = 0 with no detectability test.  A block with no
+    inputs solves A'S + SA + Q = 0.  ``iterations``
     counts Newton steps over all blocks.  The Frobenius norm of the
     residual must come within ``RESIDUAL_RTOL`` times the summed norms
     of its terms, |Q| + |A'S + SA| + |S B R^-1 B' S| (:func:`_residual_bound`).
@@ -322,8 +331,9 @@ def solve_care(
     Raises ``ValueError`` for an unknown ``method``, before any other
     check.  Raises :class:`NoConvergence` naming state channels when a
     nonzero Q leaves a mode with Re >= 0 unseen, or when a block's
-    observability matrix or B R^-1 B' overflows; :class:`NotStabilizable`
-    when a block fails the rank check; and :class:`NoConvergence` when
+    observability or controllability matrix or B R^-1 B' overflows (or
+    B R^-1 B' underflows to zero); :class:`NotStabilizable` naming them
+    when B leaves such a mode unreached; and :class:`NoConvergence` when
     ``MAX_NEWTON_STEPS`` Newton steps on a block do not reach the
     tolerance, or when the solution overflows or misses it.
     """
@@ -340,23 +350,21 @@ def solve_care(
 
     blocks = [(states, np.ix_(states, states), np.ix_(states, inputs), np.ix_(inputs, inputs))
               for states, inputs in _decoupled_blocks(A, B, weights)]
+    checks = [(NotStabilizable, "(A, B) is not stabilizable: B does not reach",
+               "controllability matrix", lambda square, rect: (A[square], B[rect]))]
     if weights.Q.any():
-        unseen = []
-        for states, square, _, _ in blocks:
+        checks.insert(0, (NoConvergence, "(A, Q) is not detectable: Q does not weight",
+                          "observability matrix of (A, Q)",
+                          lambda square, rect: (A[square].T, weights.Q[square])))
+    for error, refusal, matrix, pair in checks:
+        unreached = []
+        for states, square, rect, _ in blocks:
             try:
-                unseen.extend(states[_undetectable_states(A[square], weights.Q[square])])
+                unreached.extend(states[_unreached_states(*pair(square, rect))])
             except OverflowError as exc:
-                raise NoConvergence(f"{exc} on {channels(states)}") from exc
-        if unseen:
-            raise NoConvergence("(A, Q) is not detectable: Q does not weight a mode "
-                                f"with Re >= 0 on {channels(sorted(unseen))}")
-
-    for _, square, rect, _ in blocks:
-        if not is_controllable(A[square], B[rect]):
-            raise NotStabilizable(
-                "controllability matrix is rank deficient; cannot guarantee a "
-                "stabilizing solution"
-            )
+                raise NoConvergence(f"{matrix} overflowed on {channels(states)}") from exc
+        if unreached:
+            raise error(f"{refusal} a mode with Re >= 0 on {channels(sorted(unreached))}")
 
     S, iterations = np.zeros((n, n)), 0
     if method == "hamiltonian" and weights.Q.any():
@@ -365,10 +373,13 @@ def solve_care(
         for states, square, rect, input_square in blocks:
             if not weights.Q[square].any():
                 continue
+            if not B[rect].size:
+                S[square] = solve_lyapunov(A[square], weights.Q[square])
+                continue
             try:
                 S[square], steps = _newton(A[square], B[rect], LqrWeights(
                     Q=weights.Q[square], R=weights.R[input_square]))
-            except OverflowError as exc:
+            except ArithmeticError as exc:
                 raise NoConvergence(f"{exc} on {channels(states)}") from exc
             iterations += steps
     residual, tol = care_residual(A, B, S, weights), _residual_bound(A, B, S, weights)
@@ -407,28 +418,24 @@ def lqr_gain(A: np.ndarray, B: np.ndarray, weights: LqrWeights) -> np.ndarray:
     return K
 
 
-def _undetectable_states(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Indices of the states that carry a mode of A with Re >= 0 unseen by Q.
+def _unreached_states(F: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Indices of the states carrying a mode of F with Re >= 0 that G does not reach.
 
-    The unobservable subspace of (A, Q) is the null space of the
-    observability matrix [Q; Q A; ...; Q A^(n-1)], the transpose of the
-    controllability matrix of (A', Q).  It is A-invariant, so A
-    restricted to it is A_u = N' A N for an orthonormal basis N.  The
-    product of (A_u - lambda I) over the strictly stable eigenvalues
-    lambda of A_u annihilates their invariant subspace, so its range is
-    the invariant subspace of the other modes; its leading left
-    singular vectors, as many as there are such modes, span it.  An
-    observability matrix that overflows raises ``OverflowError``.
+    On (A, B) these modes make the pair unstabilizable; on (A', Q), they
+    make (A, Q) undetectable.  The orthogonal complement N of the
+    controllable subspace of (F, G) is F'-invariant, so F' restricted to
+    it is F_u = N' F' N, whose eigenvalues are the unreached modes.  The
+    product of (F_u - lambda I) over the strictly stable eigenvalues
+    lambda of F_u annihilates their invariant subspace, so its range is
+    the invariant subspace of the other modes; its leading left singular
+    vectors, as many as there are such modes, span it.  A controllability
+    matrix or rank cutoff that overflows raises ``OverflowError``.
     """
-    observability = controllability_matrix(A.T, Q).T
-    if not np.isfinite(observability).all():
-        raise OverflowError("observability matrix of (A, Q) overflowed")
-    _, sigma, vt = np.linalg.svd(observability)
-    # numpy's matrix_rank threshold: weights ~1e-13 below the largest count as zero
-    cutoff = sigma[0] * max(observability.shape) * np.finfo(float).eps
-    rank = int(np.count_nonzero(sigma > cutoff))
-    unobservable = vt[rank:].T
-    reduced = unobservable.T @ A @ unobservable
+    basis, rank = controllable_subspace(F, G)
+    if rank == F.shape[0]:
+        return np.empty(0, dtype=int)
+    unreached = basis[:, rank:]
+    reduced = unreached.T @ F.T @ unreached
     eigs = np.linalg.eigvals(reduced)
     # the same strict margin as stabilizing_gain: marginal modes count
     stable = eigs[eigs.real < -1e-9]
@@ -437,7 +444,7 @@ def _undetectable_states(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
         product = product @ (reduced - eig * np.eye(eigs.size))
     # conjugate eigenvalues come in exact pairs, so the product is real
     u, _, _ = np.linalg.svd(product.real)
-    modes = unobservable @ u[:, :eigs.size - stable.size]
+    modes = unreached @ u[:, :eigs.size - stable.size]
     return np.flatnonzero(np.abs(modes).max(axis=1, initial=0.0) > 1e-8)
 
 

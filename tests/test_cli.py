@@ -320,7 +320,8 @@ class TestMatrixCommands:
         ({"lqr": {"q_diag": [1e308, 200, 1.71, 600, 1400, 10, 60, 60, 2.0, 0.25, 10, 1]}},
          "observability matrix of (A, Q) overflowed on x, theta, xdot, q"),
         ({"params": {"ixx": 1e-300}}, "B R^-1 B' overflowed on y, phi, ydot, p"),
-    ], ids=["x-weight-1e308", "ixx-1e-300"])
+        ({"params": {"m": 1e200}}, "B R^-1 B' underflowed to zero on z, zdot"),
+    ], ids=["x-weight-1e308", "ixx-1e-300", "m-1e200"])
     def test_overflowing_block_refused_by_cause(self, tmp_path, capsys, document, message):
         # the refusal names what overflowed and on which block, not
         # numpy's "SVD did not converge" or "infs or NaNs"

@@ -89,6 +89,21 @@ class TestControllability:
         B = np.array([[1.0], [0.0]])
         assert not is_controllable(A, B)
 
+    @pytest.mark.parametrize("gravity", [1e-10, 1e10, 1e12])
+    def test_rank_is_numpys_matrix_rank(self, gravity):
+        # the hover pair's singular values spread with g; the rank counts
+        # them by numpy's rule, which keeps 12 at 1e-10 and 1e10, 10 at 1e12
+        ss = hover_jacobians(QuadrotorParams(gravity=gravity))
+        rank = np.linalg.matrix_rank(controllability_matrix(ss.A, ss.B))
+        assert is_controllable(ss.A, ss.B) == (rank == 12)
+
+    def test_overflowing_rank_cutoff_refused(self):
+        # sigma_max * max(shape) overflows at sigma_max = 1e308: a rank of 0
+        # would call the pair uncontrollable
+        A = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(OverflowError, match="controllability matrix overflowed"):
+            is_controllable(A, np.array([[0.0], [1e308]]))
+
 
 def van_loan_expm(A, B, dt):
     """(Phi, Gamma) from scipy's expm of the Van Loan block."""

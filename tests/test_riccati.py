@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import block_diag, expm, qr, schur, solve_continuous_lyapunov
+from scipy.linalg import block_diag, expm, qr, schur, solve_continuous_are, solve_continuous_lyapunov
 
 from quadctrl import (
     DEFAULT_Q_DIAGONAL,
@@ -31,7 +31,7 @@ from quadctrl import (
 from quadctrl.linearize import controllability_matrix
 from quadctrl.riccati import (
     _decoupled_blocks,
-    _undetectable_states,
+    _unreached_states,
     care_residual,
     stabilizing_gain,
 )
@@ -107,7 +107,7 @@ def random_controllable_system(rng, n, m):
 
 
 def schur_undetectable_states(A, Q):
-    """Reference for riccati._undetectable_states: the same unobservable
+    """Reference for riccati._unreached_states on (A', Q): the same unobservable
     subspace, split by scipy's sorted real Schur form of A on it."""
     observability = controllability_matrix(A.T, Q).T
     _, sigma, vt = np.linalg.svd(observability)
@@ -217,6 +217,11 @@ class TestStabilizingGain:
     def test_stabilizes_hover_system(self, hover_ss):
         K0 = stabilizing_gain(hover_ss.A, hover_ss.B)
         assert np.max(np.linalg.eigvals(hover_ss.A - hover_ss.B @ K0).real) < 0.0
+
+    def test_uncontrollable_pair_refused(self):
+        # the shifted Gramian is singular unless every mode is reached
+        with pytest.raises(NotStabilizable, match="needs a controllable"):
+            stabilizing_gain(np.eye(2), np.array([[1.0], [0.0]]))
 
 
 class TestSolveCare:
@@ -468,7 +473,7 @@ class TestBlockSolve:
     def test_refused_exactly_when_undetectable(self, hover_ss, mask):
         weights = LqrWeights.from_diagonals([float(mask >> i & 1) for i in range(12)],
                                             DEFAULT_R_DIAGONAL)
-        if _undetectable_states(hover_ss.A, weights.Q).size:
+        if _unreached_states(hover_ss.A.T, weights.Q).size:
             with pytest.raises(NoConvergence, match="not detectable"):
                 solve_care(hover_ss.A, hover_ss.B, weights)
             return
@@ -483,7 +488,7 @@ class TestBlockSolve:
         # every nonzero diagonal 0/1 weight on the 12 hover states
         for mask in range(1, 2 ** 12):
             Q = np.diag([float(mask >> i & 1) for i in range(12)])
-            assert np.array_equal(_undetectable_states(hover_ss.A, Q),
+            assert np.array_equal(_unreached_states(hover_ss.A.T, Q),
                                   schur_undetectable_states(hover_ss.A, Q)), mask
 
     def test_undetectable_states_match_schur_on_seeded_systems(self):
@@ -491,7 +496,7 @@ class TestBlockSolve:
         named = set()
         for _ in range(300):
             A, Q = partly_unobservable_system(rng)
-            unseen = _undetectable_states(A, Q)
+            unseen = _unreached_states(A.T, Q)
             assert np.array_equal(unseen, schur_undetectable_states(A, Q))
             named.add(0 < unseen.size < A.shape[0])
         # some draws name a strict, nonempty subset of the states
@@ -511,6 +516,51 @@ class TestBlockSolve:
         K = lqr_gain(A, B, weights)
         assert relative_gap(K, hamiltonian_gain(A, B, weights)) <= 1e-8
         assert K[0, 2] != 0.0
+
+
+class TestExistenceConditions:
+    """A stabilizing solution exists exactly when (A, Q) is detectable and
+    (A, B) stabilizable (Kucera 1972): solve_care tests these, not
+    controllability."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(gravity=st.floats(-12.0, 12.0), mass=st.floats(-3.0, 3.0),
+           inertias=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+    def test_hover_chains_give_closed_form_at_any_scale(self, gravity, mass, inertias):
+        # the draws are decimal exponents.  Every hover block is a chain of
+        # integrators, controllable for any g > 0, whose first-state gain
+        # is +-sqrt(q/r) however the chain is scaled
+        ss = hover_jacobians(QuadrotorParams(
+            mass=10.0 ** mass, inertia_xx=10.0 ** inertias[0],
+            inertia_yy=10.0 ** inertias[1], inertia_zz=10.0 ** inertias[2],
+            gravity=10.0 ** gravity))
+        K = lqr_gain(ss.A, ss.B, LqrWeights.from_diagonals(DEFAULT_Q_DIAGONAL,
+                                                           DEFAULT_R_DIAGONAL))
+        q, r = DEFAULT_Q_DIAGONAL, DEFAULT_R_DIAGONAL
+        for u, state, sign in ((0, 2, 1.0), (1, 1, -1.0), (2, 0, 1.0), (3, 5, 1.0)):
+            assert K[u, state] == pytest.approx(sign * math.sqrt(q[state] / r[u]), rel=1e-9)
+
+    def test_stabilizable_uncontrollable_pair_solved(self):
+        # B does not reach the mode at -1, which is stable
+        A = np.array([[-1.0, 0.0], [1.0, 1.0]])
+        B = np.array([[0.0], [1.0]])
+        K = lqr_gain(A, B, LqrWeights(Q=np.eye(2), R=np.eye(1)))
+        assert K == pytest.approx(np.array([[1.0, 1.0 + math.sqrt(2.0)]]), rel=1e-12)
+        K_ref = B.T @ solve_continuous_are(A, B, np.eye(2), np.eye(1))
+        assert K == pytest.approx(K_ref, rel=1e-9)
+
+    def test_block_without_inputs(self):
+        # state 0 is a block of its own, weighted, with no input
+        B = np.array([[0.0], [1.0]])
+        weights = LqrWeights(Q=np.eye(2), R=np.eye(1))
+        S = solve_care(np.diag([-1.0, 1.0]), B, weights).S
+        assert S == pytest.approx(np.diag([0.5, 1.0 + math.sqrt(2.0)]), rel=1e-12)
+        S_ref = solve_continuous_are(np.diag([-1.0, 1.0]), B, np.eye(2), np.eye(1))
+        assert S == pytest.approx(S_ref, rel=1e-9)
+        # unstable, it is refused by name
+        with pytest.raises(NotStabilizable,
+                           match="not stabilizable: B does not reach .* on state 0$"):
+            solve_care(np.diag([1.0, 1.0]), B, weights)
 
 
 class TestLqrWeights:

@@ -28,10 +28,10 @@ small against the size of the terms it sums, and S is assembled with
 exact zeros between blocks; the assembled residual is checked against
 the same normalized bound.
 
-``solve_care`` splits the blocks once and decides each one there: (A, Q)
-detectable, then (A, B) stabilizable (Kucera 1972; one routine, numpy's
-rank rule), then the solve, so one block's scale cannot hide another
-block's rank.
+``solve_care`` splits the blocks once, cuts out each block's A, B, Q and
+R, and decides each one: (A, Q) detectable, then (A, B) stabilizable
+(Kucera 1972; one routine, numpy's rank rule), then the solve, so one
+block's scale cannot hide another block's rank.
 
 Lyapunov equations are solved as one n^2 x n^2 linear system, the
 Kronecker sum I kron F' + F' kron I, with one call to
@@ -67,7 +67,7 @@ DEFAULT_R_DIAGONAL = (1.0, 0.001, 0.001, 0.001)
 
 # solve_care's bound on the Frobenius norm of the Riccati residual, as a
 # fraction of the summed Frobenius norms of its terms (see
-# _residual_bound), and its budget of Newton steps per decoupled block.
+# care_residual), and its budget of Newton steps per decoupled block.
 RESIDUAL_RTOL = 1e-9
 MAX_NEWTON_STEPS = 100
 
@@ -151,29 +151,26 @@ def solve_lyapunov(F: np.ndarray, C: np.ndarray) -> np.ndarray:
     return 0.5 * (X + X.T)
 
 
-def care_residual(A, B, S, weights: LqrWeights) -> float:
-    """Frobenius norm of A'S + SA - S B R^-1 B' S + Q."""
-    BtS = np.asarray(B).T @ S
-    res = (np.asarray(A).T @ S + S @ np.asarray(A)
-           - BtS.T @ np.linalg.solve(weights.R, BtS) + weights.Q)
-    return float(np.linalg.norm(res, ord="fro"))
+def care_residual(A, B, S, Q, R) -> tuple[float, float]:
+    """|A'S + SA - S B R^-1 B' S + Q| and its bound, Frobenius norms.
 
-
-def _residual_bound(A, B, S, weights: LqrWeights) -> float:
-    """RESIDUAL_RTOL (|Q| + |A'S + SA| + |S B R^-1 B' S|), Frobenius norms.
-
-    The normalized CARE residual: the residual is measured against the
-    size of the terms it sums, so its roundoff floor stays under the
-    bound however S scales with the plant.  For a block-diagonal S the
-    blocks' bounds add up, by Minkowski's inequality, to no more than
-    the bound of the whole, so every block meeting its own bound makes
-    the assembled S meet the full-system bound.
+    The bound is RESIDUAL_RTOL (|Q| + |A'S + SA| + |S B R^-1 B' S|): the
+    residual is measured against the size of the terms it sums, so its
+    roundoff floor stays under the bound however S scales with the
+    plant.  For a block-diagonal S the residual is the root-sum-square
+    of the blocks' residuals, and by Minkowski's inequality the blocks'
+    bounds have a root-sum-square no more than the bound of the whole,
+    so every block meeting its own bound makes the assembled S meet the
+    full-system bound.
     """
-    BtS = B.T @ S
-    return RESIDUAL_RTOL * (float(np.linalg.norm(weights.Q, ord="fro"))
-                            + float(np.linalg.norm(A.T @ S + S @ A, ord="fro"))
-                            + float(np.linalg.norm(BtS.T @ np.linalg.solve(weights.R, BtS),
-                                                   ord="fro")))
+    A = np.asarray(A)
+    BtS = np.asarray(B).T @ S
+    linear = A.T @ S + S @ A
+    quadratic = BtS.T @ np.linalg.solve(R, BtS)
+    residual = float(np.linalg.norm(linear - quadratic + Q, ord="fro"))
+    return residual, RESIDUAL_RTOL * (float(np.linalg.norm(Q, ord="fro"))
+                                      + float(np.linalg.norm(linear, ord="fro"))
+                                      + float(np.linalg.norm(quadratic, ord="fro")))
 
 
 def stabilizing_gain(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -206,15 +203,15 @@ def stabilizing_gain(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return K0
 
 
-def _solve_care_hamiltonian(A, B, weights: LqrWeights) -> np.ndarray:
-    """Stable-eigenvector solution of the CARE: Newton's start, and a cross-check.
+def _solve_care_hamiltonian(A, G, Q) -> np.ndarray:
+    """Stable-eigenvector solution of the CARE with G = B R^-1 B': Newton's
+    start, and a cross-check.
 
     May raise ``np.linalg.LinAlgError`` or return a non-finite or
     inaccurate S when the stable eigenvectors are ill conditioned.
     """
     n = A.shape[0]
-    G = B @ np.linalg.solve(weights.R, B.T)
-    H = np.block([[A, -G], [-weights.Q, -A.T]])
+    H = np.block([[A, -G], [-Q, -A.T]])
     eigvals, eigvecs = np.linalg.eig(H)
     stable = np.argsort(eigvals.real)[:n]
     U = eigvecs[:, stable]
@@ -264,7 +261,7 @@ def _decoupled_blocks(A, B, weights: LqrWeights) -> list[tuple[np.ndarray, np.nd
     return blocks
 
 
-def _newton(A, B, weights: LqrWeights) -> tuple[np.ndarray, int]:
+def _newton(A, B, Q, R) -> tuple[np.ndarray, int]:
     """Kleinman's Newton iteration from the Hamiltonian solution: (S, iterations).
 
     The start is K0 = R^-1 B' S_H for the stable-eigenvector solution
@@ -272,13 +269,13 @@ def _newton(A, B, weights: LqrWeights) -> tuple[np.ndarray, int]:
     when that solve raises ``LinAlgError``, gives a non-finite S_H, or
     a K0 that leaves A - B K0 short of Hurwitz.  The residual of a
     Kleinman iterate is -dK' R dK for the gain update dK just taken, so
-    it measures that step, not the error left.  Once it meets
-    :func:`_residual_bound` the iteration is in its quadratic phase, and
+    it measures that step, not the error left.  Once it meets the bound
+    of :func:`care_residual` the iteration is in its quadratic phase, and
     one more step takes S to roundoff.  A B R^-1 B' that overflows
     raises ``OverflowError``; one that is zero, which on a block's
     nonzero B only underflow makes, raises ``FloatingPointError``.
     """
-    gain_map = np.linalg.solve(weights.R, B.T)     # K = gain_map @ S
+    gain_map = np.linalg.solve(R, B.T)  # K = gain_map @ S
     G = B @ gain_map
     if not np.isfinite(G).all():
         raise OverflowError("B R^-1 B' overflowed")
@@ -286,7 +283,7 @@ def _newton(A, B, weights: LqrWeights) -> tuple[np.ndarray, int]:
         raise FloatingPointError("B R^-1 B' underflowed to zero")
     K = None
     try:
-        S = _solve_care_hamiltonian(A, B, weights)
+        S = _solve_care_hamiltonian(A, G, Q)
     except np.linalg.LinAlgError:
         pass
     else:
@@ -295,12 +292,11 @@ def _newton(A, B, weights: LqrWeights) -> tuple[np.ndarray, int]:
     if K is None or float(np.linalg.eigvals(A - B @ K).real.max()) >= 0.0:
         K = stabilizing_gain(A, B)
     for iteration in range(1, MAX_NEWTON_STEPS + 1):
-        S = solve_lyapunov(A - B @ K, weights.Q + K.T @ (weights.R @ K))
+        S = solve_lyapunov(A - B @ K, Q + K.T @ (R @ K))
         K = gain_map @ S
-        residual = care_residual(A, B, S, weights)
-        tol = _residual_bound(A, B, S, weights)
+        residual, tol = care_residual(A, B, S, Q, R)
         if residual <= tol:
-            S = solve_lyapunov(A - B @ K, weights.Q + K.T @ (weights.R @ K))
+            S = solve_lyapunov(A - B @ K, Q + K.T @ (R @ K))
             return S, iteration + 1
     raise NoConvergence(
         f"Riccati residual {residual:.3e} above tolerance {tol:.3e} "
@@ -326,7 +322,7 @@ def solve_care(
     inputs solves A'S + SA + Q = 0.  ``iterations``
     counts Newton steps over all blocks.  The Frobenius norm of the
     residual must come within ``RESIDUAL_RTOL`` times the summed norms
-    of its terms, |Q| + |A'S + SA| + |S B R^-1 B' S| (:func:`_residual_bound`).
+    of its terms, |Q| + |A'S + SA| + |S B R^-1 B' S| (:func:`care_residual`).
 
     Raises ``ValueError`` for an unknown ``method``, before any other
     check.  Raises :class:`NoConvergence` naming state channels when a
@@ -348,19 +344,24 @@ def solve_care(
     def channels(states) -> str:
         return ", ".join(labels[i] for i in states)
 
-    blocks = [(states, np.ix_(states, states), np.ix_(states, inputs), np.ix_(inputs, inputs))
-              for states, inputs in _decoupled_blocks(A, B, weights)]
+    # each block's arrays, cut out once; principal blocks of the checked Q
+    # and R are symmetric PSD and PD, so LqrWeights need not check them again
+    blocks = []
+    for states, inputs in _decoupled_blocks(A, B, weights):
+        square = np.ix_(states, states)
+        blocks.append((states, square, A[square], B[np.ix_(states, inputs)],
+                       weights.Q[square], weights.R[np.ix_(inputs, inputs)]))
     checks = [(NotStabilizable, "(A, B) is not stabilizable: B does not reach",
-               "controllability matrix", lambda square, rect: (A[square], B[rect]))]
+               "controllability matrix", lambda A_b, B_b, Q_b: (A_b, B_b))]
     if weights.Q.any():
         checks.insert(0, (NoConvergence, "(A, Q) is not detectable: Q does not weight",
                           "observability matrix of (A, Q)",
-                          lambda square, rect: (A[square].T, weights.Q[square])))
+                          lambda A_b, B_b, Q_b: (A_b.T, Q_b)))
     for error, refusal, matrix, pair in checks:
         unreached = []
-        for states, square, rect, _ in blocks:
+        for states, _, A_b, B_b, Q_b, _ in blocks:
             try:
-                unreached.extend(states[_unreached_states(*pair(square, rect))])
+                unreached.extend(states[_unreached_states(*pair(A_b, B_b, Q_b))])
             except OverflowError as exc:
                 raise NoConvergence(f"{matrix} overflowed on {channels(states)}") from exc
         if unreached:
@@ -368,21 +369,20 @@ def solve_care(
 
     S, iterations = np.zeros((n, n)), 0
     if method == "hamiltonian" and weights.Q.any():
-        S = _solve_care_hamiltonian(A, B, weights)
+        S = _solve_care_hamiltonian(A, B @ np.linalg.solve(weights.R, B.T), weights.Q)
     else:
-        for states, square, rect, input_square in blocks:
-            if not weights.Q[square].any():
+        for states, square, A_b, B_b, Q_b, R_b in blocks:
+            if not Q_b.any():
                 continue
-            if not B[rect].size:
-                S[square] = solve_lyapunov(A[square], weights.Q[square])
+            if not B_b.size:
+                S[square] = solve_lyapunov(A_b, Q_b)
                 continue
             try:
-                S[square], steps = _newton(A[square], B[rect], LqrWeights(
-                    Q=weights.Q[square], R=weights.R[input_square]))
+                S[square], steps = _newton(A_b, B_b, Q_b, R_b)
             except ArithmeticError as exc:
                 raise NoConvergence(f"{exc} on {channels(states)}") from exc
             iterations += steps
-    residual, tol = care_residual(A, B, S, weights), _residual_bound(A, B, S, weights)
+    residual, tol = care_residual(A, B, S, weights.Q, weights.R)
     # an overflowed residual meets its overflowed bound: inf <= inf
     if not np.isfinite(residual):
         raise NoConvergence(f"Riccati residual of the {method} solution overflowed")

@@ -112,7 +112,7 @@ def test_criterion_1_riccati_residual_and_stability(bench_system):
         elapsed = time.perf_counter() - start
         tolerance = 1e-9 * np.linalg.norm(weights.Q, "fro")
         assert solution.residual_norm < tolerance
-        assert care_residual(ss.A, ss.B, solution.S, weights) < tolerance
+        assert care_residual(ss.A, ss.B, solution.S, weights.Q, weights.R)[0] < tolerance
         closed = np.linalg.eigvals(ss.A - ss.B @ gain)
         assert float(closed.real.max()) < -1e-9
         assert elapsed < 1.0

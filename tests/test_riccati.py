@@ -237,7 +237,7 @@ class TestSolveCare:
         sol = solve_care(A, B, weights)
         root3 = math.sqrt(3.0)
         assert sol.S == pytest.approx(np.array([[root3, 1.0], [1.0, root3]]), abs=1e-10)
-        assert care_residual(A, B, sol.S, weights) < 1e-12
+        assert care_residual(A, B, sol.S, weights.Q, weights.R)[0] < 1e-12
 
     def test_yaw_subsystem_closed_form(self):
         b = 200.0   # 1 / inertia_zz
@@ -259,7 +259,8 @@ class TestSolveCare:
         sol = solve_care(hover_ss.A, hover_ss.B, default_weights)
         tol = 1e-9 * np.linalg.norm(default_weights.Q, "fro")
         assert sol.residual_norm <= tol
-        assert care_residual(hover_ss.A, hover_ss.B, sol.S, default_weights) <= tol
+        assert care_residual(hover_ss.A, hover_ss.B, sol.S,
+                             default_weights.Q, default_weights.R)[0] <= tol
         assert sol.S == pytest.approx(sol.S.T, abs=1e-10)
         assert np.min(np.linalg.eigvalsh(sol.S)) > -1e-10
 
@@ -271,7 +272,7 @@ class TestSolveCare:
             A, B, weights = random_controllable_system(rng, n, m)
             sol = solve_care(A, B, weights)
             tol = 1e-9 * np.linalg.norm(weights.Q, "fro")
-            assert care_residual(A, B, sol.S, weights) <= tol
+            assert care_residual(A, B, sol.S, weights.Q, weights.R)[0] <= tol
             K = lqr_gain(A, B, weights)
             closed = A - B @ K
             assert np.max(np.linalg.eigvals(closed).real) < -1e-9
@@ -338,7 +339,7 @@ class TestSolveCare:
         warm = [lqr_gain(*system) for system in systems]
         shifted_starts = []
         monkeypatch.setattr(riccati, "_solve_care_hamiltonian",
-                            lambda A, B, weights: np.zeros(A.shape))
+                            lambda A, G, Q: np.zeros(A.shape))
         monkeypatch.setattr(riccati, "stabilizing_gain",
                             lambda A, B: shifted_starts.append(A) or stabilizing_gain(A, B))
         for system, K in zip(systems, warm):
@@ -417,12 +418,38 @@ class TestBlockSolve:
         tol = 1e-9 * np.linalg.norm(weights.Q, "fro")
         sol = solve_care(ss.A, ss.B, weights)
         assert sol.residual_norm <= tol
-        assert care_residual(ss.A, ss.B, sol.S, weights) <= tol
+        assert care_residual(ss.A, ss.B, sol.S, weights.Q, weights.R)[0] <= tol
         K = lqr_gain(ss.A, ss.B, weights)
         assert relative_gap(K, hamiltonian_gain(ss.A, ss.B, weights)) <= 1e-8
         for states, u in HOVER_BLOCKS:
             outside = np.setdiff1d(np.arange(12), states)
             assert np.all(K[u, outside] == 0.0)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(q_exponents=st.lists(st.floats(-2.0, 2.0), min_size=12, max_size=12),
+           r_exponents=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))
+    def test_residual_bound_and_its_block_split(self, hover_ss, q_exponents, r_exponents):
+        A, B = hover_ss.A, hover_ss.B
+        weights = LqrWeights.from_diagonals(
+            [q * 10.0 ** e for q, e in zip(DEFAULT_Q_DIAGONAL, q_exponents)],
+            [r * 10.0 ** e for r, e in zip(DEFAULT_R_DIAGONAL, r_exponents)])
+        S = solve_care(A, B, weights).S
+        residual, bound = care_residual(A, B, S, weights.Q, weights.R)
+        terms = (weights.Q, A.T @ S + S @ A, S @ B @ np.linalg.inv(weights.R) @ B.T @ S)
+        frobenius = sum(math.sqrt(np.sum(T * T)) for T in terms)
+        assert bound == pytest.approx(riccati.RESIDUAL_RTOL * frobenius, rel=1e-12)
+        assert residual <= bound
+        # a block-diagonal residual is the root-sum-square of the blocks'
+        # residuals, so blocks within their own bounds put the whole within
+        # its bound when the blocks' bounds have a root-sum-square within
+        # it, as Minkowski's inequality gives.  Their plain sum exceeds it.
+        # The factor allows for the norms' rounding.
+        block_bounds = [
+            care_residual(A[np.ix_(states, states)], B[np.ix_(states, [u])],
+                          S[np.ix_(states, states)], weights.Q[np.ix_(states, states)],
+                          weights.R[np.ix_([u], [u])])[1]
+            for states, u in HOVER_BLOCKS]
+        assert math.hypot(*block_bounds) <= bound * (1.0 + 1e-12)
 
     def test_coupling_weight_merges_blocks(self, hover_ss, default_weights):
         # a z-psi cross weight joins the altitude and yaw blocks
@@ -594,6 +621,16 @@ class TestLqrWeights:
         Q[0, 0] = R[0, 0] = -5.0
         assert w.Q[0, 0] == w.R[0, 0] == 1.0
 
+    def test_blocks_are_not_validated_again(self, hover_ss, default_weights, monkeypatch):
+        # a principal block of a checked Q or R passes the same checks, so
+        # the solver builds no LqrWeights of its own
+        built = []
+        post_init = LqrWeights.__post_init__
+        monkeypatch.setattr(LqrWeights, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        lqr_gain(hover_ss.A, hover_ss.B, default_weights)
+        assert len(built) == 0
+
     def test_near_symmetric_weights_reach_the_solver(self):
         # within the tolerance of the largest entry, 1e-4, but not within
         # that of the 2x2 block {1, 2} the solver cuts out
@@ -603,7 +640,7 @@ class TestLqrWeights:
         assert np.array_equal(w.Q, 0.5 * (Q + Q.T))
         A, B = -np.eye(3), np.eye(3)
         sol = solve_care(A, B, w)
-        assert care_residual(A, B, sol.S, w) <= 1e-9 * np.linalg.norm(Q)
+        assert care_residual(A, B, sol.S, w.Q, w.R)[0] <= 1e-9 * np.linalg.norm(Q)
         K = lqr_gain(A, B, w)
         assert np.linalg.eigvals(A - B @ K).real.max() < 0.0
 

@@ -11,8 +11,9 @@ Every key can change the output of some command, and the ``params``
 keys name exactly the fields of :class:`QuadrotorParams`.  Unknown keys
 and non-finite numbers (JSON's NaN and Infinity) are rejected with their
 full path, and so is a ``case.x0`` whose pitch lies outside the
-nonlinear plant's domain.  trajectory.csv and the matrices of
-``linearize`` and ``gain`` carry 17 significant digits; the JSON
+nonlinear plant's domain.  trajectory.csv, written ``CSV_BLOCK`` rows
+at a time, and the matrices of ``linearize`` and ``gain`` carry 17
+significant digits; the JSON
 artifacts carry each float's shortest repr that reads back to the same
 value.  Outputs use Unix newlines, so repeated runs of the same config
 are byte-identical.
@@ -48,10 +49,10 @@ from .sim import (
 )
 
 TRAJECTORY_HEADER = "t,x,y,z,phi,theta,psi,xdot,ydot,zdot,p,q,r,u1,u2,u3,u4"
-# Rows of trajectory.csv converted and written at a time: one block's
-# floats and text stay small, where the whole table cost megabytes of
-# peak memory.
-CSV_BLOCK = 1024
+# Rows of trajectory.csv formatted and written at a time: a block's
+# floats, argument tuple and text peak near 0.3 MB, where the whole
+# table cost megabytes.
+CSV_BLOCK = 256
 
 _PARAM_KEYS = {
     "m": "mass", "ixx": "inertia_xx", "iyy": "inertia_yy", "izz": "inertia_zz",
@@ -239,16 +240,20 @@ def trajectory_csv(trajectory: Trajectory, stream: TextIO) -> None:
 
     The header, then one line per sample: t, the 12 states and the 4
     inputs, each with 17 significant digits, every line ending in "\n".
-    Rows are converted to floats and written ``CSV_BLOCK`` at a time,
-    so neither the whole table nor the whole text is held in memory.
+    Each block of ``CSV_BLOCK`` rows is column-stacked and formatted by
+    one ``%`` on a format of that many rows, so neither the whole table
+    nor the whole text is held in memory.
     """
     row = ",".join(["%.17g"] * (1 + model.STATE_DIM + model.INPUT_DIM)) + "\n"
+    rows = row * CSV_BLOCK
     stream.write(TRAJECTORY_HEADER + "\n")
     for start in range(0, trajectory.times.shape[0], CSV_BLOCK):
         block = slice(start, start + CSV_BLOCK)
-        stream.write("".join(row % (t, *state, *u) for t, state, u in zip(
-            trajectory.times[block].tolist(), trajectory.states[block].tolist(),
-            trajectory.controls[block].tolist())))
+        table = np.column_stack((trajectory.times[block], trajectory.states[block],
+                                 trajectory.controls[block]))
+        if table.shape[0] < CSV_BLOCK:
+            rows = row * table.shape[0]
+        stream.write(rows % tuple(table.ravel().tolist()))
 
 
 def metrics_report(trajectory: Trajectory, references: Setpoints) -> dict:

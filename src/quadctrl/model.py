@@ -20,11 +20,13 @@ thrust projection degenerates.  psi is an angle: the controllers take
 their heading error through :func:`wrap_angle`, so a reference near
 +-pi is approached the short way round.
 
-:func:`dynamics`, :func:`step` and :func:`normalize_state` take float
-sequences and return lists of Python floats, the form the simulator
-steps its state in.  :func:`step` is the nonlinear plant's whole RK4
-step, phi/psi wrap included; the generic ``sim.rk4_step`` on
-:func:`dynamics` followed by :func:`normalize_state` is its reference.
+:func:`dynamics`, :func:`normalize_state` and the step that
+:func:`stepper` binds take float sequences and return lists of Python
+floats, the form the simulator steps its state in.  ``stepper(params,
+dt)`` is the nonlinear plant's one RK4 kernel, bound once per run: its
+step is a whole RK4 step, phi/psi wrap included, and the generic
+``sim.rk4_step`` on :func:`dynamics` followed by
+:func:`normalize_state` is its reference.
 """
 
 from __future__ import annotations
@@ -81,82 +83,106 @@ class NonFiniteState(RuntimeError):
     """A state component became non-finite (simulation diverged)."""
 
 
-def _accelerations(phi, theta, psi, p, q, r, u, params: QuadrotorParams) -> tuple:
-    """Translational accelerations and body-rate derivatives, 6 floats."""
-    sph, cph = math.sin(phi), math.cos(phi)
-    sth, cth = math.sin(theta), math.cos(theta)
-    sps, cps = math.sin(psi), math.cos(psi)
+def _accelerations_of(params: QuadrotorParams):
+    """``accelerations(phi, theta, psi, p, q, r, accel, u2, u3, u4)``
+    bound to ``params``: the translational accelerations and body-rate
+    derivatives, 6 floats, with ``accel = u1 / mass`` formed by the
+    caller.  The inertia differences are formed once here; each is the
+    first product's left factor, so every result keeps its bits.
+    """
+    sin, cos = math.sin, math.cos
+    gravity = params.gravity
+    ixx, iyy, izz = params.inertia_xx, params.inertia_yy, params.inertia_zz
+    jx, jy, jz = iyy - izz, izz - ixx, ixx - iyy
 
-    accel = u[0] / params.mass
-
-    return (
-        (cph * sth * cps + sph * sps) * accel,
-        (cph * sth * sps - sph * cps) * accel,
-        cph * cth * accel - params.gravity,
-        ((params.inertia_yy - params.inertia_zz) * q * r + u[1]) / params.inertia_xx,
-        ((params.inertia_zz - params.inertia_xx) * p * r + u[2]) / params.inertia_yy,
-        ((params.inertia_xx - params.inertia_yy) * p * q
-         + u[3]) / params.inertia_zz,
-    )
+    def accelerations(phi, theta, psi, p, q, r, accel, u2, u3, u4):
+        sph, cph = sin(phi), cos(phi)
+        sth, cth = sin(theta), cos(theta)
+        sps, cps = sin(psi), cos(psi)
+        return (
+            (cph * sth * cps + sph * sps) * accel,
+            (cph * sth * sps - sph * cps) * accel,
+            cph * cth * accel - gravity,
+            (jx * q * r + u2) / ixx,
+            (jy * p * r + u3) / iyy,
+            (jz * p * q + u4) / izz,
+        )
+    return accelerations
 
 
 def dynamics(state, u, params: QuadrotorParams) -> list:
     """Time derivative of the 12-state vector under inputs u1..u4, as a list."""
     _, _, _, phi, theta, psi, xdot, ydot, zdot, p, q, r = state
-    return [xdot, ydot, zdot, p, q, r,
-            *_accelerations(phi, theta, psi, p, q, r, u, params)]
+    u1, u2, u3, u4 = u
+    return [xdot, ydot, zdot, p, q, r, *_accelerations_of(params)(
+        phi, theta, psi, p, q, r, u1 / params.mass, u2, u3, u4)]
 
 
-def step(state, u, dt: float, params: QuadrotorParams) -> list:
-    """One classical RK4 step of :func:`dynamics` with u held, then phi
-    and psi wrapped into [-pi, pi).
+def stepper(params: QuadrotorParams, dt: float):
+    """The nonlinear plant's step ``step(state, u) -> list`` on a fixed
+    ``dt``: one classical RK4 step of :func:`dynamics` with u held, then
+    phi and psi wrapped into [-pi, pi).
 
-    Bit for bit the result of ``normalize_state(rk4_step(...))`` on
+    ``params``, ``dt/2``, ``dt/6`` and the trig functions are bound
+    here, once per run, and u is unpacked once per step.  Bit for bit
+    the result of ``normalize_state(rk4_step(...))`` on
     :func:`dynamics`: each stage state is ``s + h*k`` and the update
     ``s + dt/6*(k1 + 2*k2 + 2*k3 + k4)`` in the same order, evaluated on
     local floats.  The stage positions are not formed, since no
-    derivative reads them.  Raises :class:`NonFiniteState` as soon as a
-    component becomes non-finite.
+    derivative reads them.  The step raises :class:`NonFiniteState` as
+    soon as a component becomes non-finite.
     """
+    accelerations, mass, isfinite = _accelerations_of(params), params.mass, math.isfinite
     half, sixth = 0.5 * dt, dt / 6.0
-    x, y, z, phi, theta, psi, xd1, yd1, zd1, p1, q1, r1 = state
-    try:
-        ax1, ay1, az1, pd1, qd1, rd1 = _accelerations(
-            phi, theta, psi, p1, q1, r1, u, params)
-        xd2, yd2, zd2 = xd1 + half * ax1, yd1 + half * ay1, zd1 + half * az1
-        p2, q2, r2 = p1 + half * pd1, q1 + half * qd1, r1 + half * rd1
-        ax2, ay2, az2, pd2, qd2, rd2 = _accelerations(
-            phi + half * p1, theta + half * q1, psi + half * r1, p2, q2, r2, u, params)
-        xd3, yd3, zd3 = xd1 + half * ax2, yd1 + half * ay2, zd1 + half * az2
-        p3, q3, r3 = p1 + half * pd2, q1 + half * qd2, r1 + half * rd2
-        ax3, ay3, az3, pd3, qd3, rd3 = _accelerations(
-            phi + half * p2, theta + half * q2, psi + half * r2, p3, q3, r3, u, params)
-        xd4, yd4, zd4 = xd1 + dt * ax3, yd1 + dt * ay3, zd1 + dt * az3
-        p4, q4, r4 = p1 + dt * pd3, q1 + dt * qd3, r1 + dt * rd3
-        ax4, ay4, az4, pd4, qd4, rd4 = _accelerations(
-            phi + dt * p3, theta + dt * q3, psi + dt * r3, p4, q4, r4, u, params)
-    except (ValueError, OverflowError) as exc:
-        # math.sin/cos raise on inf/nan rather than propagating it
-        raise NonFiniteState(f"state became non-finite during an RK4 stage: {exc}") from exc
-    new_state = [
-        x + sixth * (xd1 + 2.0 * xd2 + 2.0 * xd3 + xd4),
-        y + sixth * (yd1 + 2.0 * yd2 + 2.0 * yd3 + yd4),
-        z + sixth * (zd1 + 2.0 * zd2 + 2.0 * zd3 + zd4),
-        phi + sixth * (p1 + 2.0 * p2 + 2.0 * p3 + p4),
-        theta + sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4),
-        psi + sixth * (r1 + 2.0 * r2 + 2.0 * r3 + r4),
-        xd1 + sixth * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4),
-        yd1 + sixth * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4),
-        zd1 + sixth * (az1 + 2.0 * az2 + 2.0 * az3 + az4),
-        p1 + sixth * (pd1 + 2.0 * pd2 + 2.0 * pd3 + pd4),
-        q1 + sixth * (qd1 + 2.0 * qd2 + 2.0 * qd3 + qd4),
-        r1 + sixth * (rd1 + 2.0 * rd2 + 2.0 * rd3 + rd4),
-    ]
-    if not all(map(math.isfinite, new_state)):
-        raise NonFiniteState("state became non-finite after an RK4 step")
-    new_state[PHI] = wrap_angle(new_state[PHI])
-    new_state[PSI] = wrap_angle(new_state[PSI])
-    return new_state
+
+    def step(state, u) -> list:
+        x, y, z, phi, theta, psi, xd1, yd1, zd1, p1, q1, r1 = state
+        u1, u2, u3, u4 = u
+        accel = u1 / mass
+        try:
+            ax1, ay1, az1, pd1, qd1, rd1 = accelerations(
+                phi, theta, psi, p1, q1, r1, accel, u2, u3, u4)
+            xd2, yd2, zd2 = xd1 + half * ax1, yd1 + half * ay1, zd1 + half * az1
+            p2, q2, r2 = p1 + half * pd1, q1 + half * qd1, r1 + half * rd1
+            ax2, ay2, az2, pd2, qd2, rd2 = accelerations(
+                phi + half * p1, theta + half * q1, psi + half * r1, p2, q2, r2,
+                accel, u2, u3, u4)
+            xd3, yd3, zd3 = xd1 + half * ax2, yd1 + half * ay2, zd1 + half * az2
+            p3, q3, r3 = p1 + half * pd2, q1 + half * qd2, r1 + half * rd2
+            ax3, ay3, az3, pd3, qd3, rd3 = accelerations(
+                phi + half * p2, theta + half * q2, psi + half * r2, p3, q3, r3,
+                accel, u2, u3, u4)
+            xd4, yd4, zd4 = xd1 + dt * ax3, yd1 + dt * ay3, zd1 + dt * az3
+            p4, q4, r4 = p1 + dt * pd3, q1 + dt * qd3, r1 + dt * rd3
+            ax4, ay4, az4, pd4, qd4, rd4 = accelerations(
+                phi + dt * p3, theta + dt * q3, psi + dt * r3, p4, q4, r4,
+                accel, u2, u3, u4)
+        except (ValueError, OverflowError) as exc:
+            # math.sin/cos raise on inf/nan rather than propagating it
+            raise NonFiniteState(
+                f"state became non-finite during an RK4 stage: {exc}") from exc
+        new_state = [
+            x + sixth * (xd1 + 2.0 * xd2 + 2.0 * xd3 + xd4),
+            y + sixth * (yd1 + 2.0 * yd2 + 2.0 * yd3 + yd4),
+            z + sixth * (zd1 + 2.0 * zd2 + 2.0 * zd3 + zd4),
+            phi + sixth * (p1 + 2.0 * p2 + 2.0 * p3 + p4),
+            theta + sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4),
+            psi + sixth * (r1 + 2.0 * r2 + 2.0 * r3 + r4),
+            xd1 + sixth * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4),
+            yd1 + sixth * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4),
+            zd1 + sixth * (az1 + 2.0 * az2 + 2.0 * az3 + az4),
+            p1 + sixth * (pd1 + 2.0 * pd2 + 2.0 * pd3 + pd4),
+            q1 + sixth * (qd1 + 2.0 * qd2 + 2.0 * qd3 + qd4),
+            r1 + sixth * (rd1 + 2.0 * rd2 + 2.0 * rd3 + rd4),
+        ]
+        # a finite sum has finite terms: the per-term test runs only when
+        # the sum is not finite, which an overflowing sum can also be
+        if not isfinite(sum(new_state)) and not all(map(isfinite, new_state)):
+            raise NonFiniteState("state became non-finite after an RK4 step")
+        new_state[PHI] = wrap_angle(new_state[PHI])
+        new_state[PSI] = wrap_angle(new_state[PSI])
+        return new_state
+    return step
 
 
 def hover_equilibrium(params: QuadrotorParams) -> tuple[np.ndarray, np.ndarray]:

@@ -458,10 +458,11 @@ def feedback_control(
 
     ``state`` may be any float sequence of the 12 states; ``reference``
     and ``u_equilibrium`` are float arrays.  The psi component of the
-    deviation is a heading error, wrapped by :func:`model.wrap_angle`.
-    ``K @`` stays a BLAS matvec: a Python dot product sums in another
-    order and moves the last bits.
+    deviation is a heading error, formed and wrapped by
+    :func:`model.wrap_angle` on Python floats when ``state`` holds them.
+    ``np.dot(K, ...)`` stays a BLAS matvec: a Python dot product sums in
+    another order and moves the last bits.
     """
     deviation = np.subtract(state, reference)
-    deviation[model.PSI] = model.wrap_angle(deviation[model.PSI])
-    return u_equilibrium - K @ deviation
+    deviation[model.PSI] = model.wrap_angle(state[model.PSI] - reference.item(model.PSI))
+    return np.subtract(u_equilibrium, np.dot(K, deviation))

@@ -8,17 +8,18 @@ compare controllers: steady state, overshoot, settling time and the
 count of overshoot peaks outside the settling band.
 
 Between steps the state is a list of 12 Python floats: the plants and
-both controllers take float sequences and return lists.  The nonlinear
-plant steps through ``model.step``, one RK4 step of ``model.dynamics``
-on local floats.  The linear plant is x+ = Phi x + Gamma (u - u_eq),
-with (Phi, Gamma) = ``linearize.zoh`` of the hover pair computed once
-per run; the generic :func:`rk4_step` is kept as the reference both
-plants are tested against.  On the nonlinear plant phi and psi of the
-initial state are wrapped into [-pi, pi) before the first step, and
-after every step.  The scalar code evaluates in the same order as array
-arithmetic and the LQR keeps its BLAS matvec, so the bits match an
-ndarray run.  A controller is any object with ``reset(references, dt)``
-and ``control(state)`` returning u as a list of 4 floats.
+both controllers take float sequences and return lists.  Each run binds
+its plant's step once, before the first step: the nonlinear plant's is
+``model.stepper``, one RK4 step of ``model.dynamics`` on local floats;
+the linear plant's is x+ = Phi x + Gamma (u - u_eq), with (Phi, Gamma)
+= ``linearize.zoh`` of the hover pair.  The generic :func:`rk4_step` is
+kept as the reference both plants are tested against.  On the
+nonlinear plant phi and psi of the initial state are wrapped into
+[-pi, pi) before the first step, and after every step.  The scalar
+code evaluates in the same order as array arithmetic and the LQR keeps
+its BLAS matvec, so the bits match an ndarray run.  A controller is any
+object with ``reset(references, dt)`` and ``control(state)`` returning
+u as a list of 4 floats.
 """
 
 from __future__ import annotations
@@ -249,12 +250,31 @@ class PidCascadeController:
             self.config, state, self._references, self._memory, self._dt, self.params)
 
 
+def _zoh_stepper(params: QuadrotorParams, dt: float):
+    """The linear plant's step ``step(state, u) -> list`` on a fixed
+    ``dt``: x+ = Phi x + Gamma (u - u_eq), with (Phi, Gamma) the exact
+    zero-order-hold map of the hover pair, formed here once.  The step
+    raises :class:`NonFiniteState` when a component becomes non-finite.
+    """
+    ss = hover_jacobians(params)
+    Phi, Gamma = zoh(ss.A, ss.B, dt)
+    _, u_eq = model.hover_equilibrium(params)
+
+    def step(state, u) -> list:
+        state = (Phi @ state + Gamma @ np.subtract(u, u_eq)).tolist()
+        if not all(map(math.isfinite, state)):
+            raise NonFiniteState("state became non-finite after a zero-order-hold step")
+        return state
+    return step
+
+
 # A diverging run is reported by the finiteness checks alone, not also
 # by numpy's overflow warnings on the way to inf.
 @np.errstate(over="ignore", invalid="ignore")
 def run_closed_loop(scenario: Scenario, controller, params: QuadrotorParams) -> Trajectory:
     """Simulate controller + plant over the scenario grid.
 
+    The plant's step and the controller's ``control`` are bound once.
     The controller is reset to the scenario's references and dt, then
     stepped once per grid interval; the control computed at each sample
     is held across the following step.  In nonlinear mode phi and psi
@@ -267,34 +287,28 @@ def run_closed_loop(scenario: Scenario, controller, params: QuadrotorParams) -> 
     states = np.empty((scenario.sample_count, model.STATE_DIM))
     controls = np.empty((scenario.sample_count, model.INPUT_DIM))
 
-    nonlinear = scenario.plant_mode == "nonlinear"
-    if not nonlinear:
-        ss = hover_jacobians(params)
-        Phi, Gamma = zoh(ss.A, ss.B, scenario.dt)
-        _, u_eq = model.hover_equilibrium(params)
-
-    controller.reset(scenario.references, scenario.dt)
     state = scenario.initial_state.tolist()
-    if nonlinear:
+    if scenario.plant_mode == "nonlinear":
+        step, theta_limit = model.stepper(params, scenario.dt), model.THETA_LIMIT
         state = model.normalize_state(state)
+    else:
+        # the linear plant has no pitch bound
+        step, theta_limit = _zoh_stepper(params, scenario.dt), math.inf
+    controller.reset(scenario.references, scenario.dt)
+    control = controller.control
     states[0] = state
     for i in range(n_steps):
-        u = controller.control(state)
+        u = control(state)
         controls[i] = u
-        if nonlinear:
-            state = model.step(state, u, scenario.dt, params)
-            if abs(state[model.THETA]) >= model.THETA_LIMIT:
-                raise ThetaOutOfRange(
-                    f"|theta| reached {abs(state[model.THETA]):.4f} rad "
-                    f"at t={times[i + 1]:.4f} s"
-                )
-        else:
-            state = (Phi @ state + Gamma @ np.subtract(u, u_eq)).tolist()
-            if not all(map(math.isfinite, state)):
-                raise NonFiniteState("state became non-finite after a zero-order-hold step")
+        state = step(state, u)
+        if abs(state[model.THETA]) >= theta_limit:
+            raise ThetaOutOfRange(
+                f"|theta| reached {abs(state[model.THETA]):.4f} rad "
+                f"at t={times[i + 1]:.4f} s"
+            )
         states[i + 1] = state
     # control at the final sample, so every row carries its input
-    controls[n_steps] = controller.control(state)
+    controls[n_steps] = control(state)
     return Trajectory(times=times, states=states, controls=controls)
 
 

@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -521,7 +522,9 @@ class TestMainEntry:
 
 
 class TestTrajectoryCsvBlocks:
-    @pytest.mark.parametrize("rows", [1, CSV_BLOCK, CSV_BLOCK + 1, 2 * CSV_BLOCK + 3])
+    # One block, a full block, one row over, and longer tables that end
+    # on, one past and three past a block boundary.
+    @pytest.mark.parametrize("rows", sorted({1, CSV_BLOCK, CSV_BLOCK + 1, 1024, 1025, 2051}))
     def test_streamed_text_equals_joined_rows(self, rows):
         rng = np.random.default_rng(rows)
         times = np.arange(rows) * 1e-3
@@ -537,6 +540,26 @@ class TestTrajectoryCsvBlocks:
                                                    for row in table.tolist())]) + "\n"
         assert stream.getvalue() == expected
         assert expected.splitlines()[1].startswith("0,-0,4.9406564584124654e-324,1e+308,")
+
+    def test_peak_memory_of_a_stock_length_run(self):
+        # 15,001 rows, the stock 15 s at 1 ms, into a stream that keeps
+        # no text: the writer's own peak is a block's, not the table's
+        class Sink(io.TextIOBase):
+            def write(self, text):
+                return len(text)
+
+        rows = 15001
+        rng = np.random.default_rng(0)
+        trajectory = Trajectory(times=np.arange(rows) * 1e-3,
+                                states=rng.normal(size=(rows, 12)),
+                                controls=rng.normal(size=(rows, 4)))
+        tracemalloc.start()
+        try:
+            trajectory_csv(trajectory, Sink())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
 
 
 # The full default document, as in the README.

@@ -11,7 +11,7 @@ from quadctrl.model import (
     PSI,
     THETA,
     normalize_state,
-    step,
+    stepper,
     wrap_angle,
 )
 
@@ -107,7 +107,7 @@ class TestAngles:
         state, u = hover_equilibrium(params)
         state = state.tolist()
         state[PHI], state[PSI] = 1e-20, -3e-17
-        out = step(state, u.tolist(), 1e-3, params)
+        out = stepper(params, 1e-3)(state, u.tolist())
         assert out[PHI] == 1e-20 and out[PSI] == -3e-17
 
     def test_normalize_state_wraps_phi_psi_only(self):

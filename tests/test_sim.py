@@ -26,7 +26,7 @@ from quadctrl import (
     solve_care,
 )
 from quadctrl.model import (PHI, PSI, THETA, THETA_LIMIT, X, XDOT, Y, Z,
-                            normalize_state, step, wrap_angle)
+                            normalize_state, stepper, wrap_angle)
 from quadctrl.pid import ANGLE_LIMIT, CascadeMemory, pid_step
 from quadctrl.sim import CASE2_INITIAL_STATE, InitialThetaOutOfRange, UnknownCase
 
@@ -128,7 +128,7 @@ finite = st.floats(-50.0, 50.0)
 
 
 class TestStepKernel:
-    """model.step must be the generic RK4 step of dynamics plus the
+    """model.stepper must be the generic RK4 step of dynamics plus the
     phi/psi wrap, bit for bit."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -143,7 +143,7 @@ class TestStepKernel:
                             gravity=st.floats(0.1, 30.0)))
     def test_matches_generic_rk4_step(self, state, theta, u, dt, params):
         state[THETA] = theta
-        assert step(state, u, dt, params) == generic_step(state, u, dt, params)
+        assert stepper(params, dt)(state, u) == generic_step(state, u, dt, params)
 
     def test_divergence_messages_match_generic_step(self, params):
         # sin of inf in the second stage, then a velocity sum past the
@@ -158,7 +158,7 @@ class TestStepKernel:
             with pytest.raises(NonFiniteState, match=phase) as generic:
                 generic_step(state, u, dt, params)
             with pytest.raises(NonFiniteState, match=phase) as kernel:
-                step(state, u, dt, params)
+                stepper(params, dt)(state, u)
             assert str(kernel.value) == str(generic.value)
 
     def test_stock_lqr_case2_at_1ms_diverges(self, params, default_gain):
@@ -389,6 +389,40 @@ class TestControllerOutput:
             u = controller.control(state)
             controller.reset(Setpoints(), 0.001)
             assert u == pytest.approx(controller.control(equivalent), rel=1e-12)
+
+
+# Floats over many decades, subnormals and both zeros included, small
+# enough that K times the deviation cannot overflow; draws of one
+# magnitude make every product count in the matvec's sums.
+decades = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+    st.floats(-10.0, 10.0),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0), st.integers(-320, 290)))
+# Headings on both sides of +-pi, the points where the wrap acts.
+headings = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from([math.pi, -math.pi, math.nextafter(math.pi, 0.0),
+                     math.nextafter(-math.pi, 0.0), -0.0]))
+
+
+class TestLqrLaw:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(state=st.lists(decades, min_size=12, max_size=12), psi=headings,
+           psi_ref=headings, refs=st.lists(decades, min_size=3, max_size=3))
+    def test_control_is_the_array_law_bit_for_bit(self, params, default_gain, state,
+                                                  psi, psi_ref, refs):
+        # the ndarray formula: deviation as an array, its psi entry wrapped
+        # there, then u_eq - K @ deviation
+        state[PSI] = psi
+        references = Setpoints(z_ref=refs[0], x_ref=refs[1], y_ref=refs[2],
+                               psi_ref=psi_ref)
+        deviation = np.asarray(state, dtype=float) - references.reference_state()
+        deviation[PSI] = wrap_angle(deviation[PSI])
+        _, u_eq = hover_equilibrium(params)
+        expected = u_eq - default_gain @ deviation
+        controller = LqrController(default_gain, params)
+        controller.reset(references, 0.001)
+        assert np.array(controller.control(state)).tobytes() == expected.tobytes()
 
 
 class TestScenarioCase:

@@ -24,7 +24,6 @@ from .riccati import (
     LqrWeights,
     NoConvergence,
     NotStabilizable,
-    feedback_control,
     lqr_gain,
     solve_care,
     solve_lyapunov,
@@ -69,7 +68,6 @@ __all__ = [
     "cascade_step",
     "compute_metrics",
     "dynamics",
-    "feedback_control",
     "hover_equilibrium",
     "hover_jacobians",
     "lqr_gain",

@@ -391,8 +391,7 @@ def main(argv=None) -> int:
         except OSError:    # drop what stdout cannot take, or exit flushes it again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (SchemaError, ValueError, riccati.NotStabilizable,
-            riccati.NoConvergence) as exc:
+    except (ValueError, riccati.NoConvergence) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

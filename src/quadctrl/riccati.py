@@ -44,7 +44,6 @@ always solves the whole system.  The module needs numpy alone.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -446,23 +445,3 @@ def _unreached_states(F: np.ndarray, G: np.ndarray) -> np.ndarray:
     u, _, _ = np.linalg.svd(product.real)
     modes = unreached @ u[:, :eigs.size - stable.size]
     return np.flatnonzero(np.abs(modes).max(axis=1, initial=0.0) > 1e-8)
-
-
-def feedback_control(
-    K: np.ndarray,
-    state: Sequence[float],
-    reference: np.ndarray,
-    u_equilibrium: np.ndarray,
-) -> np.ndarray:
-    """Control law u = u_eq - K (state - reference).
-
-    ``state`` may be any float sequence of the 12 states; ``reference``
-    and ``u_equilibrium`` are float arrays.  The psi component of the
-    deviation is a heading error, formed and wrapped by
-    :func:`model.wrap_angle` on Python floats when ``state`` holds them.
-    ``np.dot(K, ...)`` stays a BLAS matvec: a Python dot product sums in
-    another order and moves the last bits.
-    """
-    deviation = np.subtract(state, reference)
-    deviation[model.PSI] = model.wrap_angle(state[model.PSI] - reference.item(model.PSI))
-    return np.subtract(u_equilibrium, np.dot(K, deviation))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model, riccati
+from . import model
 from .linearize import hover_jacobians, zoh
 from .model import NonFiniteState, QuadrotorParams
 from .pid import CascadeConfig, CascadeMemory, Setpoints, cascade_step
@@ -220,7 +220,12 @@ def scenario_case(case_id: int, **overrides) -> Scenario:
 
 
 class LqrController:
-    """Full-state feedback u = u_hover - K (x - x_ref), memoryless."""
+    """Full-state feedback u = u_eq - K (x - x_ref), memoryless.
+
+    ``reset`` binds x_ref and psi_ref (a float) once per run; ``control``
+    wraps the heading error with :func:`model.wrap_angle` and keeps
+    ``np.dot(K, ...)`` a BLAS matvec, whose summation order fixes the bits.
+    """
 
     def __init__(self, K: np.ndarray, params: QuadrotorParams):
         self.K = np.asarray(K, dtype=float)
@@ -228,10 +233,12 @@ class LqrController:
 
     def reset(self, references: Setpoints, dt: float) -> None:
         self._x_ref = references.reference_state()
+        self._psi_ref = self._x_ref.item(model.PSI)
 
     def control(self, state: Sequence[float]) -> list[float]:
-        return riccati.feedback_control(
-            self.K, state, self._x_ref, self.u_equilibrium).tolist()
+        deviation = np.subtract(state, self._x_ref)
+        deviation[model.PSI] = model.wrap_angle(state[model.PSI] - self._psi_ref)
+        return np.subtract(self.u_equilibrium, np.dot(self.K, deviation)).tolist()
 
 
 class PidCascadeController:

@@ -34,7 +34,7 @@ from quadctrl.cli import (
     trajectory_csv,
 )
 from quadctrl.pid import Setpoints
-from quadctrl.riccati import DEFAULT_Q_DIAGONAL
+from quadctrl.riccati import DEFAULT_Q_DIAGONAL, _decoupled_blocks
 from quadctrl.sim import CASE2_INITIAL_STATE, Trajectory, scenario_case
 
 FAST_SIM = {"sim": {"dt": 0.01, "t_final": 2.0}}
@@ -351,6 +351,29 @@ class TestMatrixCommands:
         Q, R = config.weights.Q, config.weights.R
         K_ref = np.linalg.solve(R, ss.B.T @ solve_continuous_are(ss.A, ss.B, Q, R))
         assert np.linalg.norm(K - K_ref) <= 1e-8 * np.linalg.norm(K_ref)
+
+    def test_stiff_stable_blocks_accepted(self, tmp_path, capsys):
+        # each block's closed loop is stable at 80 digits, with slowest
+        # poles near -2.29 (y/phi) and -3.16 (psi), where numpy's eigvals
+        # of the block reads a real part of exactly 0.0
+        mpmath = pytest.importorskip("mpmath")
+        documents = [{"params": {"ixx": 1e-20}}, {"params": {"izz": 1e-20}},
+                     {"lqr": {"r_diag": [1e-20, 1e-23, 1e-23, 1e-23]}}]
+        for document in documents:
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps(document))
+            assert main(["--config", str(cfg), "gain"]) == 0, document
+            K = np.array([[float(v) for v in row.split(",")]
+                          for row in capsys.readouterr().out.strip().splitlines()])
+            config = parse_config(json.dumps(document))
+            ss = quadctrl.hover_jacobians(config.params)
+            for states, inputs in _decoupled_blocks(ss.A, ss.B, config.weights):
+                with mpmath.workdps(80):
+                    A = mpmath.matrix(ss.A[np.ix_(states, states)].tolist())
+                    B = mpmath.matrix(ss.B[np.ix_(states, inputs)].tolist())
+                    K_block = mpmath.matrix(K[np.ix_(inputs, states)].tolist())
+                    poles = mpmath.eig(A - B * K_block, left=False, right=False)
+                    assert max(mpmath.re(p) for p in poles) < 0, (document, states)
 
     @pytest.mark.parametrize("mass", [1e6, 1e7, 3e7, 1e8, 1e9])
     def test_heavy_vehicle_gain(self, tmp_path, capsys, mass):

@@ -17,11 +17,13 @@ from scipy.linalg import block_diag, expm, qr, schur, solve_continuous_are, solv
 from quadctrl import (
     DEFAULT_Q_DIAGONAL,
     DEFAULT_R_DIAGONAL,
+    LqrController,
     LqrWeights,
     NoConvergence,
     NotStabilizable,
     QuadrotorParams,
-    feedback_control,
+    Setpoints,
+    hover_equilibrium,
     hover_jacobians,
     lqr_gain,
     riccati,
@@ -651,22 +653,25 @@ class TestLqrWeights:
 
 
 class TestFeedbackControl:
-    def test_at_reference_outputs_equilibrium(self, default_gain, rng):
-        state = rng.normal(size=12)
-        u_eq = np.array([9.81, 0.0, 0.0, 0.0])
-        u = feedback_control(default_gain, state, state, u_eq)
-        assert u == pytest.approx(u_eq, abs=1e-12)
+    """The law u = u_eq - K (x - x_ref) of ``LqrController``."""
 
-    def test_zero_gain_passes_equilibrium_through(self, rng):
-        u_eq = np.array([9.81, 0.0, 0.0, 0.0])
-        u = feedback_control(np.zeros((4, 12)), rng.normal(size=12), np.zeros(12), u_eq)
-        assert np.array_equal(u, u_eq)
+    def test_at_reference_outputs_equilibrium(self, params, default_gain, rng):
+        references = Setpoints(*rng.normal(size=4).tolist())
+        controller = LqrController(default_gain, params)
+        controller.reset(references, 0.001)
+        u = controller.control(references.reference_state().tolist())
+        assert u == pytest.approx(hover_equilibrium(params)[1], abs=1e-12)
 
-    def test_altitude_error_raises_thrust(self, default_gain):
-        state = np.zeros(12)
-        reference = np.zeros(12)
-        reference[2] = 1.0
-        u = feedback_control(default_gain, state, reference,
-                             np.array([9.81, 0.0, 0.0, 0.0]))
-        assert u[0] - 9.81 == pytest.approx(default_gain[0, 2], rel=1e-12)
-        assert u[0] - 9.81 == pytest.approx(1.3077, abs=2e-4)
+    def test_zero_gain_passes_equilibrium_through(self, params, rng):
+        controller = LqrController(np.zeros((4, 12)), params)
+        controller.reset(Setpoints(), 0.001)
+        u = controller.control(rng.normal(size=12).tolist())
+        assert np.array_equal(u, hover_equilibrium(params)[1])
+
+    def test_altitude_error_raises_thrust(self, params, default_gain):
+        controller = LqrController(default_gain, params)
+        controller.reset(Setpoints(z_ref=1.0), 0.001)
+        u = controller.control([0.0] * 12)
+        u_eq = hover_equilibrium(params)[1]
+        assert u[0] - u_eq[0] == pytest.approx(default_gain[0, 2], rel=1e-12)
+        assert u[0] - u_eq[0] == pytest.approx(1.3077, abs=2e-4)

@@ -18,6 +18,10 @@ artifacts carry each float's shortest repr that reads back to the same
 value.  Outputs use Unix newlines, so repeated runs of the same config
 are byte-identical.
 
+``compare`` designs both controllers before either flies, so a refused
+gain exits 1 before any simulation step.  metrics.json holds each
+channel's :class:`sim.Metrics` under its field names.
+
 Exit codes: 0 success, 1 config or output error, 2 simulation divergence.
 """
 
@@ -257,17 +261,10 @@ def trajectory_csv(trajectory: Trajectory, stream: TextIO) -> None:
 
 
 def metrics_report(trajectory: Trajectory, references: Setpoints) -> dict:
-    report = {}
-    for label, reference in zip(model.STATE_LABELS, references.reference_state().tolist()):
-        m = sim.compute_metrics(trajectory, label, reference)
-        report[label] = {
-            "steady_state": m.steady_state_value,
-            "overshoot": m.overshoot,
-            "settling_time": m.settling_time,
-            "peak_count": m.overshoot_peak_count,
-            "settled": m.settled,
-        }
-    return report
+    """Each channel's :class:`sim.Metrics`, as its metrics.json entry."""
+    return {label: dataclasses.asdict(sim.compute_metrics(trajectory, label, reference))
+            for label, reference in zip(model.STATE_LABELS,
+                                        references.reference_state().tolist())}
 
 
 def metric_deltas(first: dict, second: dict) -> dict:
@@ -292,14 +289,23 @@ def _write_json(path: Path, payload: dict) -> None:
                     encoding="utf-8", newline="\n")
 
 
+def _fly(config: RunConfig, controller, label: str = "") -> Trajectory | None:
+    """Fly ``config.scenario`` with a built ``controller``.
+
+    On divergence, print one stderr line led by ``label`` and return None.
+    """
+    try:
+        return run_closed_loop(config.scenario, controller, config.params)
+    except (sim.NonFiniteState, sim.ThetaOutOfRange) as exc:
+        print(f"{label}simulation diverged: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_run(config: RunConfig, controller_name: str, out_dir) -> int:
     """Simulate one controller; write trajectory.csv and metrics.json."""
     out = Path(out_dir)
-    try:
-        controller = make_controller(config, controller_name)
-        trajectory = run_closed_loop(config.scenario, controller, config.params)
-    except (sim.NonFiniteState, sim.ThetaOutOfRange) as exc:
-        print(f"simulation diverged: {type(exc).__name__}: {exc}", file=sys.stderr)
+    trajectory = _fly(config, make_controller(config, controller_name))
+    if trajectory is None:
         return 2
     out.mkdir(parents=True, exist_ok=True)
     with (out / "trajectory.csv").open("w", encoding="utf-8", newline="\n") as stream:
@@ -310,24 +316,22 @@ def cmd_run(config: RunConfig, controller_name: str, out_dir) -> int:
 
 
 def cmd_compare(config: RunConfig, out_dir) -> int:
-    """Run both controllers on the same scenario; write comparison.json."""
+    """Run both controllers on the same scenario; write comparison.json.
+
+    Both controllers are designed before either flies, so a refused
+    gain costs no simulation.
+    """
     out = Path(out_dir)
+    controllers = {name: make_controller(config, name) for name in ("pid", "lqr")}
     reports = {}
-    for name in ("pid", "lqr"):
-        try:
-            controller = make_controller(config, name)
-            trajectory = run_closed_loop(config.scenario, controller, config.params)
-        except (sim.NonFiniteState, sim.ThetaOutOfRange) as exc:
-            print(f"{name} simulation diverged: {type(exc).__name__}: {exc}",
-                  file=sys.stderr)
+    for name, controller in controllers.items():
+        trajectory = _fly(config, controller, f"{name} ")
+        if trajectory is None:
             return 2
         reports[name] = metrics_report(trajectory, config.scenario.references)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "comparison.json", {
-        "pid": reports["pid"],
-        "lqr": reports["lqr"],
-        "deltas": metric_deltas(reports["pid"], reports["lqr"]),
-    })
+    _write_json(out / "comparison.json",
+                {**reports, "deltas": metric_deltas(reports["pid"], reports["lqr"])})
     return 0
 
 

@@ -162,9 +162,9 @@ def cascade_step(
     shared gain sign for both axes.  The yaw loop takes the heading
     error through :func:`model.wrap_angle`.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-
+    # the thrust loop goes first: its pid_step refuses a non-positive dt
+    # before any memory changes
+    u1 = pid_step(config.thrust, memory.thrust, references.z_ref - state[model.Z], dt)
     if memory.step_count % config.outer_decimation == 0:
         outer_dt = dt * config.outer_decimation
         raw_phi = pid_step(config.roll_outer, memory.roll_outer,
@@ -176,7 +176,6 @@ def cascade_step(
     memory.step_count += 1
 
     thrust_ff = params.hover_thrust if config.gravity_feedforward else 0.0
-    u1 = pid_step(config.thrust, memory.thrust, references.z_ref - state[model.Z], dt)
     u2 = pid_step(config.roll_inner, memory.roll_inner,
                   memory.phi_ref - state[model.PHI], dt)
     u3 = pid_step(config.pitch_inner, memory.pitch_inner,

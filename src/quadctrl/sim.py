@@ -151,21 +151,20 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class Metrics:
-    """Step-response metrics of one channel.
+    """Step-response metrics of one channel, named as its metrics.json keys.
 
     ``overshoot`` is the peak excursion past the steady state in the
     step direction, as a fraction of the step magnitude.
-    ``overshoot_peak_count`` counts local maxima of |signal - steady
-    state| above the settling band after the signal first enters the
-    band.  ``settling_time`` is None when the signal never stays inside
-    the band.
+    ``peak_count`` counts local maxima of |signal - steady state| above
+    the settling band after the signal first enters the band.
+    ``settling_time`` is None when the signal never stays inside the
+    band.
     """
 
-    channel: str
-    steady_state_value: float
+    steady_state: float
     overshoot: float
     settling_time: float | None
-    overshoot_peak_count: int
+    peak_count: int
     settled: bool
 
 
@@ -290,9 +289,11 @@ def run_closed_loop(scenario: Scenario, controller, params: QuadrotorParams) -> 
     bound raises :class:`ThetaOutOfRange`; the linear plant needs neither.
     """
     n_steps = scenario.sample_count - 1
-    times = np.arange(scenario.sample_count) * scenario.dt
-    states = np.empty((scenario.sample_count, model.STATE_DIM))
-    controls = np.empty((scenario.sample_count, model.INPUT_DIM))
+    # times, states and controls are column views of one block, freed in one piece
+    table = np.empty((scenario.sample_count, 1 + model.STATE_DIM + model.INPUT_DIM))
+    times, states, controls = (table[:, 0], table[:, 1:1 + model.STATE_DIM],
+                               table[:, 1 + model.STATE_DIM:])
+    times[:] = np.arange(scenario.sample_count) * scenario.dt
 
     state = scenario.initial_state.tolist()
     if scenario.plant_mode == "nonlinear":
@@ -320,7 +321,7 @@ def run_closed_loop(scenario: Scenario, controller, params: QuadrotorParams) -> 
 
 
 def compute_metrics(trajectory: Trajectory, channel: str, reference: float) -> Metrics:
-    """Step-response metrics of one state channel.
+    """Step-response :class:`Metrics` of one state channel.
 
     The steady state is the mean of the final 5% of samples.  The
     settling band is ``SETTLING_BAND`` times the step magnitude around
@@ -373,11 +374,5 @@ def compute_metrics(trajectory: Trajectory, channel: str, reference: float) -> M
             peaks = (interior > tolerance) & (interior >= seg[:-2]) & (interior > seg[2:])
             peak_count = int(np.count_nonzero(peaks))
 
-    return Metrics(
-        channel=channel,
-        steady_state_value=steady,
-        overshoot=overshoot,
-        settling_time=settling_time,
-        overshoot_peak_count=peak_count,
-        settled=settled,
-    )
+    return Metrics(steady_state=steady, overshoot=overshoot, settling_time=settling_time,
+                   peak_count=peak_count, settled=settled)

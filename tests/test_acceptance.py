@@ -208,7 +208,7 @@ def test_criterion_6_case1_step_comparison(bench_params, bench_gain):
         pid_z = compute_metrics(pid_traj, "z", reference=1.0)
         assert lqr_z.overshoot < 0.01
         assert pid_z.overshoot > 0.02
-        assert pid_z.overshoot_peak_count >= lqr_z.overshoot_peak_count + 1
+        assert pid_z.peak_count >= lqr_z.peak_count + 1
         assert lqr_z.settled and lqr_z.settling_time < 5.0
         assert pid_z.settled and pid_z.settling_time < 5.0
         assert elapsed < 5.0
@@ -225,8 +225,8 @@ def test_criterion_7_case2_regulation(case2_trajectories):
             lqr_settling.append(metric.settling_time)
         assert 3.0 <= max(lqr_settling) <= 11.0
         for channel in ("x", "y"):
-            lqr_peaks = compute_metrics(lqr_traj, channel, 0.0).overshoot_peak_count
-            pid_peaks = compute_metrics(pid_traj, channel, 0.0).overshoot_peak_count
+            lqr_peaks = compute_metrics(lqr_traj, channel, 0.0).peak_count
+            pid_peaks = compute_metrics(pid_traj, channel, 0.0).peak_count
             assert lqr_peaks <= pid_peaks
 
 
@@ -235,7 +235,7 @@ def test_case2_lqr_heading_regulates_below_the_spacing_of_pi(case2_trajectories)
     # the float spacing of pi, without being rounded to a multiple of it
     psi = compute_metrics(case2_trajectories[0], "psi", reference=0.0)
     assert psi.overshoot == 0.0
-    assert abs(psi.steady_state_value) < 1e-20
+    assert abs(psi.steady_state) < 1e-20
 
 
 def test_criterion_8_case3_yaw_transient(case3_trajectories):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_continuous_are
 
 import quadctrl
+from quadctrl import cli
 from quadctrl.cli import (
     _PARAM_KEYS,
     CSV_BLOCK,
@@ -38,6 +39,11 @@ from quadctrl.riccati import DEFAULT_Q_DIAGONAL, _decoupled_blocks
 from quadctrl.sim import CASE2_INITIAL_STATE, Trajectory, scenario_case
 
 FAST_SIM = {"sim": {"dt": 0.01, "t_final": 2.0}}
+# The stock LQR weights with the psi weight zeroed: the heading drift is
+# unseen, so the gain is refused as not detectable.
+NO_PSI_WEIGHT = {"q_diag": [500, 200, 1.71, 600, 1400, 0, 60, 60, 2.0, 0.25, 10, 1]}
+NO_PSI_ERROR = ("config error: (A, Q) is not detectable: "
+                "Q does not weight a mode with Re >= 0 on psi\n")
 
 
 class TestParseConfig:
@@ -262,6 +268,36 @@ class TestCmdCompare:
         payload = json.loads((tmp_path / "comparison.json").read_text())
         assert "psi" in payload["pid"] and "psi" in payload["lqr"]
         assert payload["lqr"]["psi"]["steady_state"] == pytest.approx(0.5, abs=0.01)
+
+    def test_refused_lqr_flies_nothing(self, tmp_path, capsys, monkeypatch):
+        # both controllers are designed before either flies, so a refused
+        # LQR gain exits 1 without a simulation step
+        def no_flight(*args):
+            raise AssertionError("flew before both controllers were designed")
+
+        monkeypatch.setattr(cli, "run_closed_loop", no_flight)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"lqr": NO_PSI_WEIGHT, "case": {"id": 2},
+                                      "sim": {"dt": 5e-5}}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "compare", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == NO_PSI_ERROR
+        assert not out.exists()
+
+    def test_refused_lqr_reported_before_diverging_pid(self, tmp_path, capsys):
+        # a PID that diverges next to an LQR that is refused: the refusal
+        # comes first (exit 1), where flying the PID before designing the
+        # LQR reported "pid simulation diverged" (exit 2)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "pid": {"thrust": {"p": -9.09, "i": -1.94, "d": -10.41}},
+            "lqr": NO_PSI_WEIGHT,
+            "sim": {"dt": 0.01, "t_final": 300.0},
+        }), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "compare", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == NO_PSI_ERROR
+        assert not out.exists()
 
     def test_identical_reports_give_zero_deltas(self):
         report = {"z": {"steady_state": 1.0, "overshoot": 0.1,

@@ -139,6 +139,17 @@ class TestCascadeStep:
                      memory, 0.001, params)
         assert memory.phi_ref == -ANGLE_LIMIT == -0.5
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, -0.5])
+    def test_refuses_non_positive_dt(self, params, dt):
+        # refused by the thrust loop's pid_step before any loop's memory
+        # or the step count moves
+        memory = CascadeMemory()
+        refs = Setpoints(z_ref=1.0, x_ref=0.5, y_ref=-0.5, psi_ref=0.3)
+        with pytest.raises(ValueError) as info:
+            cascade_step(CascadeConfig(), [0.1] * 12, refs, memory, dt, params)
+        assert str(info.value) == f"dt must be positive, got {dt}"
+        assert memory == CascadeMemory()
+
     def test_outer_loop_decimation(self, params):
         config = CascadeConfig(outer_decimation=5)
         memory = CascadeMemory()

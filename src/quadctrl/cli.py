@@ -11,9 +11,9 @@ Every key can change the output of some command, and the ``params``
 keys name exactly the fields of :class:`QuadrotorParams`.  Unknown keys
 and non-finite numbers (JSON's NaN and Infinity) are rejected with their
 full path, and so is a ``case.x0`` whose pitch lies outside the
-nonlinear plant's domain.  trajectory.csv, written ``CSV_BLOCK`` rows
-at a time, and the matrices of ``linearize`` and ``gain`` carry 17
-significant digits; the JSON
+nonlinear plant's domain.  trajectory.csv, the run's table written
+``CSV_BLOCK`` rows at a time, and the matrices of ``linearize`` and
+``gain`` carry 17 significant digits; the JSON
 artifacts carry each float's shortest repr that reads back to the same
 value.  Outputs use Unix newlines, so repeated runs of the same config
 are byte-identical.
@@ -52,7 +52,7 @@ from .sim import (
     scenario_case,
 )
 
-TRAJECTORY_HEADER = "t,x,y,z,phi,theta,psi,xdot,ydot,zdot,p,q,r,u1,u2,u3,u4"
+TRAJECTORY_HEADER = ",".join(("t", *model.STATE_LABELS, "u1", "u2", "u3", "u4"))
 # Rows of trajectory.csv formatted and written at a time: a block's
 # floats, argument tuple and text peak near 0.3 MB, where the whole
 # table cost megabytes.
@@ -242,22 +242,17 @@ def make_controller(config: RunConfig, name: str):
 def trajectory_csv(trajectory: Trajectory, stream: TextIO) -> None:
     """Write ``trajectory`` to the text ``stream`` as CSV.
 
-    The header, then one line per sample: t, the 12 states and the 4
-    inputs, each with 17 significant digits, every line ending in "\n".
-    Each block of ``CSV_BLOCK`` rows is column-stacked and formatted by
-    one ``%`` on a format of that many rows, so neither the whole table
-    nor the whole text is held in memory.
+    The header, then one line per row of the table, each value with 17
+    significant digits and every line ending in "\n".  Each block of
+    ``CSV_BLOCK`` rows is formatted by one ``%``, so at most one block's
+    text is held.
     """
-    row = ",".join(["%.17g"] * (1 + model.STATE_DIM + model.INPUT_DIM)) + "\n"
-    rows = row * CSV_BLOCK
+    table = trajectory.table
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     stream.write(TRAJECTORY_HEADER + "\n")
-    for start in range(0, trajectory.times.shape[0], CSV_BLOCK):
-        block = slice(start, start + CSV_BLOCK)
-        table = np.column_stack((trajectory.times[block], trajectory.states[block],
-                                 trajectory.controls[block]))
-        if table.shape[0] < CSV_BLOCK:
-            rows = row * table.shape[0]
-        stream.write(rows % tuple(table.ravel().tolist()))
+    for start in range(0, table.shape[0], CSV_BLOCK):
+        block = table[start:start + CSV_BLOCK]
+        stream.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def metrics_report(trajectory: Trajectory, references: Setpoints) -> dict:

@@ -19,7 +19,7 @@ nonlinear plant phi and psi of the initial state are wrapped into
 code evaluates in the same order as array arithmetic and the LQR keeps
 its BLAS matvec, so the bits match an ndarray run.  A controller is any
 object with ``reset(references, dt)`` and ``control(state)`` returning
-u as a list of 4 floats.
+u as 4 floats, stored with t and x as one row of the run's table.
 """
 
 from __future__ import annotations
@@ -122,25 +122,32 @@ class Scenario:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled closed-loop run: times (n,), states (n,12), controls (n,4)."""
+    """Sampled closed-loop run: an (n, 17) table, one row per sample."""
 
-    times: np.ndarray
-    states: np.ndarray
-    controls: np.ndarray
+    table: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.times.shape[0]
-        if self.states.shape != (n, model.STATE_DIM):
-            raise ValueError("states length does not match time grid")
-        if self.controls.shape != (n, model.INPUT_DIM):
-            raise ValueError("controls length does not match time grid")
+        if self.table.ndim != 2 or self.table.shape[1] != 1 + model.STATE_DIM + model.INPUT_DIM:
+            raise ValueError(f"table must be 2-D with 17 columns, got {self.table.shape}")
         steps = np.diff(self.times)
         # each sample rounds by up to half an ulp of its time, so the steps
         # of a long or offset grid jitter by a few ulp of its largest |t|
-        if n > 1 and not (np.all(steps > 0.0) and np.allclose(
+        if len(self.table) > 1 and not (np.all(steps > 0.0) and np.allclose(
                 steps, steps[0], rtol=1e-9, atol=4.0 * np.finfo(float).eps
                 * max(abs(float(self.times[0])), abs(float(self.times[-1]))))):
             raise ValueError("time grid must be uniform and strictly increasing")
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.table[:, 0]
+
+    @property
+    def states(self) -> np.ndarray:
+        return self.table[:, 1:1 + model.STATE_DIM]
+
+    @property
+    def controls(self) -> np.ndarray:
+        return self.table[:, 1 + model.STATE_DIM:]
 
     def channel(self, name: str) -> np.ndarray:
         if name not in model.STATE_LABELS:
@@ -289,11 +296,9 @@ def run_closed_loop(scenario: Scenario, controller, params: QuadrotorParams) -> 
     bound raises :class:`ThetaOutOfRange`; the linear plant needs neither.
     """
     n_steps = scenario.sample_count - 1
-    # times, states and controls are column views of one block, freed in one piece
     table = np.empty((scenario.sample_count, 1 + model.STATE_DIM + model.INPUT_DIM))
-    times, states, controls = (table[:, 0], table[:, 1:1 + model.STATE_DIM],
-                               table[:, 1 + model.STATE_DIM:])
-    times[:] = np.arange(scenario.sample_count) * scenario.dt
+    table[:, 0] = np.arange(scenario.sample_count) * scenario.dt
+    rows = table[:, 1:]
 
     state = scenario.initial_state.tolist()
     if scenario.plant_mode == "nonlinear":
@@ -304,20 +309,18 @@ def run_closed_loop(scenario: Scenario, controller, params: QuadrotorParams) -> 
         step, theta_limit = _zoh_stepper(params, scenario.dt), math.inf
     controller.reset(scenario.references, scenario.dt)
     control = controller.control
-    states[0] = state
     for i in range(n_steps):
         u = control(state)
-        controls[i] = u
+        rows[i] = [*state, *u]
         state = step(state, u)
         if abs(state[model.THETA]) >= theta_limit:
             raise ThetaOutOfRange(
                 f"|theta| reached {abs(state[model.THETA]):.4f} rad "
-                f"at t={times[i + 1]:.4f} s"
+                f"at t={table[i + 1, 0]:.4f} s"
             )
-        states[i + 1] = state
     # control at the final sample, so every row carries its input
-    controls[n_steps] = control(state)
-    return Trajectory(times=times, states=states, controls=controls)
+    rows[n_steps] = [*state, *control(state)]
+    return Trajectory(table)
 
 
 def compute_metrics(trajectory: Trajectory, channel: str, reference: float) -> Metrics:

@@ -2,7 +2,8 @@
 
 Each test covers one numbered criterion at its stated tolerance and
 prints a PASS/FAIL line (visible with ``pytest -s``).  The expensive
-closed-loop benchmark runs are shared through module-scoped fixtures.
+closed-loop benchmark runs are shared through module-scoped fixtures,
+and the README's PID-vs-LQR table is checked against them.
 
 The benchmark regulator is deliberately aggressive (cheap-control
 weights push closed-loop modes up to ~2.9e4 rad/s), and cases 2 and 3
@@ -43,6 +44,8 @@ from quadctrl import (
 from quadctrl.cli import cmd_run, parse_config
 from quadctrl.riccati import DEFAULT_Q_DIAGONAL, DEFAULT_R_DIAGONAL, care_residual
 
+import readme_table
+
 STIFF_DT = 5e-5   # sampled loop rho(Phi - Gamma K) = 0.99995 < 1 for the benchmark gain
 
 
@@ -73,6 +76,18 @@ def bench_system(bench_params):
 def bench_gain(bench_system):
     ss, weights = bench_system
     return lqr_gain(ss.A, ss.B, weights)
+
+
+@pytest.fixture(scope="module")
+def case1_trajectories(bench_params, bench_gain):
+    """Criterion 6's (lqr, pid) runs and the seconds they took together."""
+    scenario = scenario_case(1)   # stock grid, nonlinear plant
+    start = time.perf_counter()
+    lqr = run_closed_loop(scenario, LqrController(bench_gain, bench_params),
+                          bench_params)
+    pid = run_closed_loop(scenario, PidCascadeController(CascadeConfig(), bench_params),
+                          bench_params)
+    return lqr, pid, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
@@ -193,17 +208,9 @@ def test_criterion_5_integrator_accuracy(bench_params):
         assert err_coarse / err_fine >= 8.0
 
 
-def test_criterion_6_case1_step_comparison(bench_params, bench_gain):
+def test_criterion_6_case1_step_comparison(case1_trajectories):
     with criterion(6, "case 1: altitude step, PID vs LQR"):
-        scenario = scenario_case(1)   # stock grid, nonlinear plant
-        start = time.perf_counter()
-        lqr_traj = run_closed_loop(
-            scenario, LqrController(bench_gain, bench_params), bench_params)
-        pid_traj = run_closed_loop(
-            scenario, PidCascadeController(CascadeConfig(), bench_params),
-            bench_params)
-        elapsed = time.perf_counter() - start
-
+        lqr_traj, pid_traj, elapsed = case1_trajectories
         lqr_z = compute_metrics(lqr_traj, "z", reference=1.0)
         pid_z = compute_metrics(pid_traj, "z", reference=1.0)
         assert lqr_z.overshoot < 0.01
@@ -271,3 +278,12 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
             assert (first / name).read_bytes() == (second / name).read_bytes()
         # the emitted metrics stay parseable
         json.loads((first / "metrics.json").read_text())
+
+
+def test_readme_table_matches_the_acceptance_runs(case1_trajectories, case2_trajectories,
+                                                  case3_trajectories):
+    # a value on a rounding boundary of its 3 digits shows in the diff
+    text = readme_table.README.read_text(encoding="utf-8")
+    rendered = readme_table.render(
+        {1: case1_trajectories[:2], 2: case2_trajectories, 3: case3_trajectories})
+    assert text[readme_table.block_span(text)] == rendered

@@ -591,7 +591,7 @@ class TestTrajectoryCsvBlocks:
         controls = -np.abs(rng.normal(size=(rows, 4)))
         states[0, :4] = [-0.0, 5e-324, 1e308, -1e308]
         controls[-1, :3] = [-0.0, -5e-324, 1e308]
-        trajectory = Trajectory(times=times, states=states, controls=controls)
+        trajectory = Trajectory(np.column_stack([times, states, controls]))
         stream = io.StringIO()
         trajectory_csv(trajectory, stream)
         table = np.column_stack([times, states, controls])
@@ -609,9 +609,9 @@ class TestTrajectoryCsvBlocks:
 
         rows = 15001
         rng = np.random.default_rng(0)
-        trajectory = Trajectory(times=np.arange(rows) * 1e-3,
-                                states=rng.normal(size=(rows, 12)),
-                                controls=rng.normal(size=(rows, 4)))
+        trajectory = Trajectory(np.column_stack([np.arange(rows) * 1e-3,
+                                                 rng.normal(size=(rows, 12)),
+                                                 rng.normal(size=(rows, 4))]))
         tracemalloc.start()
         try:
             trajectory_csv(trajectory, Sink())
@@ -619,6 +619,28 @@ class TestTrajectoryCsvBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 500_000
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(rows=st.integers(1, 600), dt=st.floats(1e-6, 1.0), seed=st.integers(0, 2**32 - 1),
+           placed=st.lists(st.tuples(
+               st.integers(0, 600 * 16 - 1),
+               st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308])
+               | st.floats(allow_nan=False, allow_infinity=False)), max_size=40))
+    def test_text_reads_back_bit_for_bit(self, rows, dt, seed, placed):
+        # every finite double is equally likely by its bits: all exponents,
+        # subnormals and both zeros, then the placed values on top
+        values = np.frombuffer(np.random.default_rng(seed).bytes(rows * 16 * 8))
+        values = np.where(np.isfinite(values), values, -0.0)
+        for index, value in placed:
+            values[index % values.size] = value
+        table = np.column_stack([np.arange(rows) * dt, values.reshape(rows, 16)])
+        stream = io.StringIO()
+        trajectory_csv(Trajectory(table), stream)
+        header, *lines = stream.getvalue().split("\n")[:-1]
+        assert header == TRAJECTORY_HEADER
+        parsed = np.array([[float(field) for field in line.split(",")] for line in lines])
+        assert parsed.shape == table.shape
+        assert parsed.tobytes() == table.tobytes()
 
 
 # The full default document, as in the README.

@@ -47,8 +47,7 @@ def synthetic_trajectory(times, values):
     times = np.asarray(times, dtype=float)
     states = np.zeros((times.shape[0], 12))
     states[:, 2] = values
-    return Trajectory(times=times, states=states,
-                      controls=np.zeros((times.shape[0], 4)))
+    return Trajectory(np.column_stack([times, states, np.zeros((times.shape[0], 4))]))
 
 
 class TestRk4Step:
@@ -574,6 +573,27 @@ class TestRunClosedLoop:
         assert np.all(np.diff(v) <= 1e-6)
 
 
+class TestSampleRows:
+    @pytest.mark.parametrize("as_sequence", [tuple, np.array], ids=["tuple", "ndarray"])
+    def test_controller_may_return_any_4_sequence(self, params, as_sequence):
+        sc = scenario_case(3, duration=0.5, dt=0.001)
+        listed = run_closed_loop(sc, PidCascadeController(CascadeConfig(), params), params)
+        seen = []
+
+        class Wrapped(PidCascadeController):
+            def control(self, state):
+                u = super().control(state)
+                seen.append([*state, *u])
+                return as_sequence(u)
+
+        trajectory = run_closed_loop(sc, Wrapped(CascadeConfig(), params), params)
+        assert np.array_equal(trajectory.table, listed.table)
+        # row i is (t_i, x_i, u_i), u_i returned at x_i, the last row too
+        assert len(seen) == sc.sample_count
+        assert np.array_equal(trajectory.times, np.arange(sc.sample_count) * sc.dt)
+        assert np.array_equal(trajectory.table[:, 1:], seen)
+
+
 class TestRunCost:
     def test_lqr_run_cost_matches_value_function(self, params, hover_ss, default_weights,
                                                  default_gain):
@@ -594,16 +614,15 @@ class TestRunCost:
 
 
 class TestTrajectory:
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            Trajectory(times=np.arange(3.0), states=np.zeros((4, 12)),
-                       controls=np.zeros((3, 4)))
+    def test_table_not_2d_with_17_columns_rejected(self):
+        for shape in [(17,), (3, 16), (3, 18), (1, 3, 17)]:
+            with pytest.raises(ValueError, match="2-D with 17 columns"):
+                Trajectory(np.zeros(shape))
 
     def test_nonuniform_grid_rejected(self):
         times = np.array([0.0, 0.1, 0.3])
         with pytest.raises(ValueError, match="uniform"):
-            Trajectory(times=times, states=np.zeros((3, 12)),
-                       controls=np.zeros((3, 4)))
+            Trajectory(np.column_stack([times, np.zeros((3, 16))]))
 
     @pytest.mark.parametrize("start, dt, n", [
         # the simulator's grid for t_final 33095.68 at this dt: 9.99e6
@@ -613,13 +632,12 @@ class TestTrajectory:
     ], ids=["long", "offset"])
     def test_long_and_offset_grids_accepted(self, start, dt, n):
         times = start + np.arange(n) * dt
-        Trajectory(times=times, states=np.broadcast_to(0.0, (n, 12)),
-                   controls=np.broadcast_to(0.0, (n, 4)))
+        # every column a view of the grid: only the times are checked
+        Trajectory(np.broadcast_to(times[:, None], (n, 17)))
 
     def test_channel_lookup(self, rng):
         states = rng.normal(size=(5, 12))
-        trajectory = Trajectory(times=np.arange(5.0), states=states,
-                                controls=np.zeros((5, 4)))
+        trajectory = Trajectory(np.column_stack([np.arange(5.0), states, np.zeros((5, 4))]))
         assert np.array_equal(trajectory.channel("theta"), states[:, 4])
 
 

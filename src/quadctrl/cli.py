@@ -18,9 +18,10 @@ artifacts carry each float's shortest repr that reads back to the same
 value.  Outputs use Unix newlines, so repeated runs of the same config
 are byte-identical.
 
-``compare`` designs both controllers before either flies, so a refused
-gain exits 1 before any simulation step.  metrics.json holds each
-channel's :class:`sim.Metrics` under its field names.
+An ``--out`` that cannot be written is refused before any design or
+flight, and ``compare`` designs both controllers before either flies,
+so a refused gain exits 1 before any simulation step.  metrics.json
+holds each channel's :class:`sim.Metrics` under its field names.
 
 Exit codes: 0 success, 1 config or output error, 2 simulation divergence.
 """
@@ -284,6 +285,15 @@ def _write_json(path: Path, payload: dict) -> None:
                     encoding="utf-8", newline="\n")
 
 
+def _writable_out(out_dir) -> Path:
+    """``out_dir`` as a Path, if its nearest existing part is a writable directory."""
+    out = Path(out_dir)
+    existing = next((path for path in (out, *out.parents) if path.exists()), out)
+    if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+        raise NotADirectoryError(f"{existing} is not a writable directory")
+    return out
+
+
 def _fly(config: RunConfig, controller, label: str = "") -> Trajectory | None:
     """Fly ``config.scenario`` with a built ``controller``.
 
@@ -298,7 +308,7 @@ def _fly(config: RunConfig, controller, label: str = "") -> Trajectory | None:
 
 def cmd_run(config: RunConfig, controller_name: str, out_dir) -> int:
     """Simulate one controller; write trajectory.csv and metrics.json."""
-    out = Path(out_dir)
+    out = _writable_out(out_dir)
     trajectory = _fly(config, make_controller(config, controller_name))
     if trajectory is None:
         return 2
@@ -316,7 +326,7 @@ def cmd_compare(config: RunConfig, out_dir) -> int:
     Both controllers are designed before either flies, so a refused
     gain costs no simulation.
     """
-    out = Path(out_dir)
+    out = _writable_out(out_dir)
     controllers = {name: make_controller(config, name) for name in ("pid", "lqr")}
     reports = {}
     for name, controller in controllers.items():

@@ -256,13 +256,11 @@ def test_criterion_8_case3_yaw_transient(case3_trajectories):
         assert pid_rate_peak >= 2.0 * lqr_rate_peak
 
 
-def test_criterion_9_lyapunov_decay(bench_params, bench_system, bench_gain):
+def test_criterion_9_lyapunov_decay(bench_system, linear_case2_lqr):
     with criterion(9, "quadratic Lyapunov decay in linear mode"):
         ss, weights = bench_system
         solution = solve_care(ss.A, ss.B, weights)
-        scenario = scenario_case(2, dt=STIFF_DT, plant_mode="linear")
-        trajectory = run_closed_loop(
-            scenario, LqrController(bench_gain, bench_params), bench_params)
+        trajectory = linear_case2_lqr
         v = np.einsum("ij,jk,ik->i", trajectory.states, solution.S,
                       trajectory.states)
         assert np.all(np.diff(v) <= 1e-6)

@@ -372,11 +372,14 @@ class TestMatrixCommands:
     @pytest.mark.parametrize("document", [
         {"params": {"m": 1e5}},
         {"lqr": {"q_diag": [1e13, 200, 1.71, 600, 1400, 10, 60, 60, 2.0, 0.25, 10, 1]}},
-    ], ids=["mass-1e5", "x-weight-1e13"])
+        {"params": {"g": 1e10}},
+    ], ids=["mass-1e5", "x-weight-1e13", "gravity-1e10"])
     def test_rank_decided_per_block(self, tmp_path, capsys, document):
         # one block's scale would hide another block's rank in the whole
         # system: the altitude block next to the attitude blocks at m = 1e5
-        # (controllability), or the x chain weighted 1e13 (detectability)
+        # (controllability), or the x chain weighted 1e13 (detectability).
+        # At g = 1e10 a rank cutoff coarser than numpy's, such as
+        # 1e-8 sigma_max, calls the lateral chains unseen.
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(document))
         assert main(["--config", str(cfg), "gain"]) == 0
@@ -512,16 +515,23 @@ class TestMainEntry:
         cfg.write_text(json.dumps(linear))
         assert main(["--config", str(cfg), "gain"]) == 0
 
-    def test_unwritable_out_dir_is_an_output_error(self, tmp_path, capsys):
+    def test_unwritable_out_dir_is_an_output_error(self, tmp_path, capsys, monkeypatch):
+        # refused before any flight, creating nothing; a regular file
+        # blocks the path, since root ignores permission bits
+        def no_flight(*args):
+            raise AssertionError("flew before the output directory was checked")
+
+        monkeypatch.setattr(cli, "run_closed_loop", no_flight)
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(FAST_SIM))
         blocker = tmp_path / "afile"
         blocker.write_text("")
-        for command in (["run", "--controller", "pid"], ["compare"]):
-            assert main(["--config", str(cfg), *command, "--out", str(blocker / "sub")]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("output error: ")
-            assert len(err.splitlines()) == 1
+        for out in (blocker, blocker / "sub"):
+            for command in (["run", "--controller", "pid"], ["compare"]):
+                assert main(["--config", str(cfg), *command, "--out", str(out)]) == 1
+                assert capsys.readouterr().err == (
+                    f"output error: {blocker} is not a writable directory\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["afile", "config.json"]
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True])

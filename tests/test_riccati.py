@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag, expm, qr, schur, solve_continuous_are, solve_continuous_lyapunov
 
+import quadctrl
 from quadctrl import (
     DEFAULT_Q_DIAGONAL,
     DEFAULT_R_DIAGONAL,
@@ -656,6 +657,8 @@ class TestFeedbackControl:
     """The law u = u_eq - K (x - x_ref) of ``LqrController``."""
 
     def test_at_reference_outputs_equilibrium(self, params, default_gain, rng):
+        # the law has no second home beside the controller
+        assert not any(hasattr(module, "feedback_control") for module in (quadctrl, riccati))
         references = Setpoints(*rng.normal(size=4).tolist())
         controller = LqrController(default_gain, params)
         controller.reset(references, 0.001)

@@ -8,10 +8,12 @@ builds the full document at those defaults: its keys are the accepted
 keys, and each default's type is the type a value must have.
 
 Every key can change the output of some command, and the ``params``
-keys name exactly the fields of :class:`QuadrotorParams`.  Unknown keys
-and non-finite numbers (JSON's NaN and Infinity) are rejected with their
-full path, and so is a ``case.x0`` whose pitch lies outside the
-nonlinear plant's domain.  trajectory.csv, the run's table written
+keys name exactly the fields of :class:`QuadrotorParams`.  Unknown keys,
+wrong types and non-finite numbers (JSON's NaN and Infinity) are
+rejected with their full path.  Range rules live in the library type
+each section builds, and its refusal is led by the section, or by
+``case.x0`` for a pitch outside the nonlinear plant's domain; every
+refusal is a ``ValueError``.  trajectory.csv, the run's table written
 ``CSV_BLOCK`` rows at a time, and the matrices of ``linearize`` and
 ``gain`` carry 17 significant digits; the JSON
 artifacts carry each float's shortest repr that reads back to the same
@@ -65,12 +67,6 @@ _PARAM_KEYS = {
 }
 _PID_LOOPS = ("thrust", "roll_inner", "roll_outer", "pitch_inner", "pitch_outer", "yaw")
 _REF_KEYS = ("z_ref", "x_ref", "y_ref", "psi_ref")
-# Lower bounds of integer keys, checked with their type.
-_INT_MINIMUM = {"pid.outer_decimation": 1}
-
-
-class SchemaError(ValueError):
-    """Config document violates the schema; message carries the key path."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -85,7 +81,7 @@ class RunConfig:
 
 def _require_mapping(node, path: str) -> dict:
     if not isinstance(node, dict):
-        raise SchemaError(f"{path}: expected an object, got {type(node).__name__}")
+        raise ValueError(f"{path}: expected an object, got {type(node).__name__}")
     return node
 
 
@@ -129,17 +125,17 @@ def _defaults(case_id: int) -> dict:
 def _merge(node, defaults: dict, path: str) -> dict:
     """``defaults`` with the values of the object ``node`` checked and filled in.
 
-    An object recurses; a bool takes true/false, an int an integer
-    (at least ``_INT_MINIMUM`` where one is listed), a list as many
-    finite numbers as its default has, a float a finite number.  A
-    string is taken as is: its allowed values are checked where it is
-    used.
+    Only the form is checked here.  An object recurses; a bool takes
+    true/false, an int an integer, a list as many finite numbers as its
+    default has, a float a finite number, and a string any value.
+    Ranges and allowed values are checked by the library type that the
+    value goes to.
     """
     merged = dict(defaults)
     for key, value in _require_mapping(node, path or "config").items():
         where = f"{path}.{key}" if path else key
         if key not in defaults:
-            raise SchemaError(f"{where}: unknown key")
+            raise ValueError(f"{where}: unknown key")
         default = defaults[key]
         if isinstance(default, dict):
             value = _merge(value, default, where)
@@ -147,11 +143,8 @@ def _merge(node, defaults: dict, path: str) -> dict:
             if not isinstance(value, bool):
                 raise ValueError(f"{where}: expected true/false, got {value!r}")
         elif isinstance(default, int):
-            least = _INT_MINIMUM.get(where)
-            if (isinstance(value, bool) or not isinstance(value, int)
-                    or least is not None and value < least):
-                bound = "" if least is None else f" >= {least}"
-                raise ValueError(f"{where}: expected an integer{bound}, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{where}: expected an integer, got {value!r}")
         elif isinstance(default, list):
             if (not isinstance(value, list) or len(value) != len(default)
                     or not all(map(_is_number, value))):
@@ -168,22 +161,23 @@ def _merge(node, defaults: dict, path: str) -> dict:
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config document.
 
-    Raises :class:`SchemaError` for structural problems (non-JSON,
-    unknown keys, a non-object section) and :class:`ValueError` for
-    values that violate their constraints; both messages carry the
-    offending key path.
+    The document's form (JSON, objects, known keys, types, finite
+    numbers, list lengths) is checked here, and a refusal names the key
+    path.  Ranges and allowed values are checked by the library types
+    built from each section, and their refusals are led by the section.
+    Every refusal is a :class:`ValueError`.
     """
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"config is not valid JSON: {exc}") from exc
+        raise ValueError(f"config is not valid JSON: {exc}") from exc
     document = _require_mapping(document, "config")
     # case.id picks the defaults of the rest of the document
     case = _require_mapping(document.get("case", {}), "case")
     case_id = _merge({k: v for k, v in case.items() if k == "id"}, {"id": 1}, "case")["id"]
     try:
         defaults = _defaults(case_id)
-    except sim.UnknownCase as exc:
+    except ValueError as exc:
         raise ValueError(f"case.id: {exc}") from exc
     merged = _merge(document, defaults, "")
 
@@ -194,12 +188,15 @@ def parse_config(text: str) -> RunConfig:
         raise ValueError(f"params: {exc}") from exc
 
     pid = merged["pid"]
-    cascade = CascadeConfig(
-        **{loop: PidGains(kp=pid[loop]["p"], ki=pid[loop]["i"], kd=pid[loop]["d"])
-           for loop in _PID_LOOPS},
-        outer_decimation=pid["outer_decimation"],
-        gravity_feedforward=pid["gravity_feedforward"],
-    )
+    try:
+        cascade = CascadeConfig(
+            **{loop: PidGains(kp=pid[loop]["p"], ki=pid[loop]["i"], kd=pid[loop]["d"])
+               for loop in _PID_LOOPS},
+            outer_decimation=pid["outer_decimation"],
+            gravity_feedforward=pid["gravity_feedforward"],
+        )
+    except ValueError as exc:
+        raise ValueError(f"pid: {exc}") from exc
 
     try:
         weights = LqrWeights.from_diagonals(merged["lqr"]["q_diag"], merged["lqr"]["r_diag"])
@@ -207,12 +204,8 @@ def parse_config(text: str) -> RunConfig:
         raise ValueError(f"lqr: {exc}") from exc
 
     case, grid = merged["case"], merged["sim"]
-    if grid["plant"] not in sim.PLANT_MODES:
-        raise ValueError(
-            f"sim.plant: expected one of {sim.PLANT_MODES}, got {grid['plant']!r}")
     try:
-        scenario = scenario_case(
-            case_id,
+        scenario = Scenario(
             initial_state=np.array(case["x0"]),
             references=Setpoints(**{key: case[key] for key in _REF_KEYS}),
             duration=grid["t_final"],

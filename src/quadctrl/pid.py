@@ -97,18 +97,25 @@ class CascadeConfig:
     gravity_feedforward: bool = True
 
     def __post_init__(self) -> None:
-        if self.outer_decimation < 1:
-            raise ValueError("outer_decimation must be >= 1")
+        decimation = self.outer_decimation
+        if isinstance(decimation, bool) or not isinstance(decimation, int) or decimation < 1:
+            raise ValueError(f"outer_decimation must be an integer >= 1, got {decimation!r}")
 
 
 @dataclass(frozen=True)
 class Setpoints:
-    """References for the four controlled channels."""
+    """References for the four controlled channels, each finite."""
 
     z_ref: float = 0.0
     x_ref: float = 0.0
     y_ref: float = 0.0
     psi_ref: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name in ("z_ref", "x_ref", "y_ref", "psi_ref"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
     def reference_state(self) -> np.ndarray:
         """12-state reference vector (zeros outside x, y, z, psi)."""

@@ -61,14 +61,6 @@ class InitialThetaOutOfRange(ValueError):
     """Initial pitch outside the domain of the nonlinear plant."""
 
 
-class UnknownCase(ValueError):
-    """Benchmark case id outside {1, 2, 3}."""
-
-
-class ChannelUnknown(ValueError):
-    """Metric channel name is not a state label."""
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One closed-loop run: initial state, references, grid, plant mode.
@@ -106,7 +98,8 @@ class Scenario:
                 f"{MAX_STEPS} steps"
             )
         if self.plant_mode not in PLANT_MODES:
-            raise ValueError(f"plant_mode must be one of {PLANT_MODES}")
+            raise ValueError(
+                f"plant_mode must be one of {PLANT_MODES}, got {self.plant_mode!r}")
         theta = float(state[model.THETA])
         if self.plant_mode == "nonlinear" and abs(theta) >= model.THETA_LIMIT:
             raise InitialThetaOutOfRange(
@@ -151,7 +144,7 @@ class Trajectory:
 
     def channel(self, name: str) -> np.ndarray:
         if name not in model.STATE_LABELS:
-            raise ChannelUnknown(
+            raise ValueError(
                 f"unknown channel {name!r}; expected one of {model.STATE_LABELS}")
         return self.states[:, model.STATE_LABELS.index(name)]
 
@@ -220,7 +213,7 @@ def scenario_case(case_id: int, **overrides) -> Scenario:
         base = dict(initial_state=np.zeros(model.STATE_DIM),
                     references=Setpoints(z_ref=1.0, psi_ref=0.5))
     else:
-        raise UnknownCase(f"case_id must be 1, 2 or 3, got {case_id!r}")
+        raise ValueError(f"case_id must be 1, 2 or 3, got {case_id!r}")
     base.update(overrides)
     return Scenario(**base)
 

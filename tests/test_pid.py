@@ -1,5 +1,7 @@
 """Tests for the discrete PID primitive and the cascaded controller."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,19 @@ class TestCascadeConfig:
     def test_rejects_bad_decimation(self):
         with pytest.raises(ValueError, match="outer_decimation"):
             CascadeConfig(outer_decimation=0)
+
+    @pytest.mark.parametrize("decimation", [2.5, True, 0])
+    def test_decimation_must_be_a_positive_int(self, decimation):
+        # 2.5 would run the outer loops every 5 steps over a 2.5-step period
+        with pytest.raises(ValueError, match=f"outer_decimation .*, got {decimation!r}$"):
+            CascadeConfig(outer_decimation=decimation)
+
+
+class TestSetpoints:
+    @pytest.mark.parametrize("name, value", [("z_ref", math.nan), ("psi_ref", math.inf)])
+    def test_rejects_non_finite_reference(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            Setpoints(**{name: value})
 
 
 class TestCascadeStep:

@@ -24,9 +24,11 @@ their heading error through :func:`wrap_angle`, so a reference near
 :func:`stepper` binds take float sequences and return lists of Python
 floats, the form the simulator steps its state in.  ``stepper(params,
 dt)`` is the nonlinear plant's one RK4 kernel, bound once per run: its
-step is a whole RK4 step, phi/psi wrap included, and the generic
-``sim.rk4_step`` on :func:`dynamics` followed by
-:func:`normalize_state` is its reference.
+step is a whole RK4 step, phi/psi wrap included, with the four stage
+derivatives written out as straight-line float code in its own frame.
+:func:`dynamics` stays the readable model, and the generic
+``sim.rk4_step`` on it followed by :func:`normalize_state` is the
+kernel's bit-for-bit reference.
 """
 
 from __future__ import annotations
@@ -83,39 +85,24 @@ class NonFiniteState(RuntimeError):
     """A state component became non-finite (simulation diverged)."""
 
 
-def _accelerations_of(params: QuadrotorParams):
-    """``accelerations(phi, theta, psi, p, q, r, accel, u2, u3, u4)``
-    bound to ``params``: the translational accelerations and body-rate
-    derivatives, 6 floats, with ``accel = u1 / mass`` formed by the
-    caller.  The inertia differences are formed once here; each is the
-    first product's left factor, so every result keeps its bits.
-    """
-    sin, cos = math.sin, math.cos
-    gravity = params.gravity
-    ixx, iyy, izz = params.inertia_xx, params.inertia_yy, params.inertia_zz
-    jx, jy, jz = iyy - izz, izz - ixx, ixx - iyy
-
-    def accelerations(phi, theta, psi, p, q, r, accel, u2, u3, u4):
-        sph, cph = sin(phi), cos(phi)
-        sth, cth = sin(theta), cos(theta)
-        sps, cps = sin(psi), cos(psi)
-        return (
-            (cph * sth * cps + sph * sps) * accel,
-            (cph * sth * sps - sph * cps) * accel,
-            cph * cth * accel - gravity,
-            (jx * q * r + u2) / ixx,
-            (jy * p * r + u3) / iyy,
-            (jz * p * q + u4) / izz,
-        )
-    return accelerations
-
-
 def dynamics(state, u, params: QuadrotorParams) -> list:
     """Time derivative of the 12-state vector under inputs u1..u4, as a list."""
     _, _, _, phi, theta, psi, xdot, ydot, zdot, p, q, r = state
     u1, u2, u3, u4 = u
-    return [xdot, ydot, zdot, p, q, r, *_accelerations_of(params)(
-        phi, theta, psi, p, q, r, u1 / params.mass, u2, u3, u4)]
+    ixx, iyy, izz = params.inertia_xx, params.inertia_yy, params.inertia_zz
+    accel = u1 / params.mass
+    sph, cph = math.sin(phi), math.cos(phi)
+    sth, cth = math.sin(theta), math.cos(theta)
+    sps, cps = math.sin(psi), math.cos(psi)
+    return [
+        xdot, ydot, zdot, p, q, r,
+        (cph * sth * cps + sph * sps) * accel,
+        (cph * sth * sps - sph * cps) * accel,
+        cph * cth * accel - params.gravity,
+        ((iyy - izz) * q * r + u2) / ixx,
+        ((izz - ixx) * p * r + u3) / iyy,
+        ((ixx - iyy) * p * q + u4) / izz,
+    ]
 
 
 def stepper(params: QuadrotorParams, dt: float):
@@ -123,16 +110,21 @@ def stepper(params: QuadrotorParams, dt: float):
     ``dt``: one classical RK4 step of :func:`dynamics` with u held, then
     phi and psi wrapped into [-pi, pi).
 
-    ``params``, ``dt/2``, ``dt/6`` and the trig functions are bound
-    here, once per run, and u is unpacked once per step.  Bit for bit
-    the result of ``normalize_state(rk4_step(...))`` on
-    :func:`dynamics`: each stage state is ``s + h*k`` and the update
-    ``s + dt/6*(k1 + 2*k2 + 2*k3 + k4)`` in the same order, evaluated on
-    local floats.  The stage positions are not formed, since no
-    derivative reads them.  The step raises :class:`NonFiniteState` as
-    soon as a component becomes non-finite.
+    ``params``, the inertia differences, ``dt/2``, ``dt/6`` and the trig
+    functions are bound here, once per run, and u is unpacked once per
+    step.  The four stage derivatives are straight-line float code in
+    the step's own frame, with ``cos(phi)*sin(theta)`` formed once per
+    stage.  Bit for bit the result of ``normalize_state(rk4_step(...))``
+    on :func:`dynamics`: every expression keeps that reference's operand
+    order, each stage state is ``s + h*k`` and the update
+    ``s + dt/6*(k1 + 2*k2 + 2*k3 + k4)``.  The stage positions are not
+    formed, since no derivative reads them.  The step raises
+    :class:`NonFiniteState` as soon as a component becomes non-finite.
     """
-    accelerations, mass, isfinite = _accelerations_of(params), params.mass, math.isfinite
+    sin, cos, isfinite = math.sin, math.cos, math.isfinite
+    mass, gravity = params.mass, params.gravity
+    ixx, iyy, izz = params.inertia_xx, params.inertia_yy, params.inertia_zz
+    jx, jy, jz = iyy - izz, izz - ixx, ixx - iyy
     half, sixth = 0.5 * dt, dt / 6.0
 
     def step(state, u) -> list:
@@ -140,23 +132,54 @@ def stepper(params: QuadrotorParams, dt: float):
         u1, u2, u3, u4 = u
         accel = u1 / mass
         try:
-            ax1, ay1, az1, pd1, qd1, rd1 = accelerations(
-                phi, theta, psi, p1, q1, r1, accel, u2, u3, u4)
+            sph, cph = sin(phi), cos(phi)
+            sps, cps = sin(psi), cos(psi)
+            cs = cph * sin(theta)
+            ax1 = (cs * cps + sph * sps) * accel
+            ay1 = (cs * sps - sph * cps) * accel
+            az1 = cph * cos(theta) * accel - gravity
+            pd1 = (jx * q1 * r1 + u2) / ixx
+            qd1 = (jy * p1 * r1 + u3) / iyy
+            rd1 = (jz * p1 * q1 + u4) / izz
+
             xd2, yd2, zd2 = xd1 + half * ax1, yd1 + half * ay1, zd1 + half * az1
             p2, q2, r2 = p1 + half * pd1, q1 + half * qd1, r1 + half * rd1
-            ax2, ay2, az2, pd2, qd2, rd2 = accelerations(
-                phi + half * p1, theta + half * q1, psi + half * r1, p2, q2, r2,
-                accel, u2, u3, u4)
+            ph, th, ps = phi + half * p1, theta + half * q1, psi + half * r1
+            sph, cph = sin(ph), cos(ph)
+            sps, cps = sin(ps), cos(ps)
+            cs = cph * sin(th)
+            ax2 = (cs * cps + sph * sps) * accel
+            ay2 = (cs * sps - sph * cps) * accel
+            az2 = cph * cos(th) * accel - gravity
+            pd2 = (jx * q2 * r2 + u2) / ixx
+            qd2 = (jy * p2 * r2 + u3) / iyy
+            rd2 = (jz * p2 * q2 + u4) / izz
+
             xd3, yd3, zd3 = xd1 + half * ax2, yd1 + half * ay2, zd1 + half * az2
             p3, q3, r3 = p1 + half * pd2, q1 + half * qd2, r1 + half * rd2
-            ax3, ay3, az3, pd3, qd3, rd3 = accelerations(
-                phi + half * p2, theta + half * q2, psi + half * r2, p3, q3, r3,
-                accel, u2, u3, u4)
+            ph, th, ps = phi + half * p2, theta + half * q2, psi + half * r2
+            sph, cph = sin(ph), cos(ph)
+            sps, cps = sin(ps), cos(ps)
+            cs = cph * sin(th)
+            ax3 = (cs * cps + sph * sps) * accel
+            ay3 = (cs * sps - sph * cps) * accel
+            az3 = cph * cos(th) * accel - gravity
+            pd3 = (jx * q3 * r3 + u2) / ixx
+            qd3 = (jy * p3 * r3 + u3) / iyy
+            rd3 = (jz * p3 * q3 + u4) / izz
+
             xd4, yd4, zd4 = xd1 + dt * ax3, yd1 + dt * ay3, zd1 + dt * az3
             p4, q4, r4 = p1 + dt * pd3, q1 + dt * qd3, r1 + dt * rd3
-            ax4, ay4, az4, pd4, qd4, rd4 = accelerations(
-                phi + dt * p3, theta + dt * q3, psi + dt * r3, p4, q4, r4,
-                accel, u2, u3, u4)
+            ph, th, ps = phi + dt * p3, theta + dt * q3, psi + dt * r3
+            sph, cph = sin(ph), cos(ph)
+            sps, cps = sin(ps), cos(ps)
+            cs = cph * sin(th)
+            ax4 = (cs * cps + sph * sps) * accel
+            ay4 = (cs * sps - sph * cps) * accel
+            az4 = cph * cos(th) * accel - gravity
+            pd4 = (jx * q4 * r4 + u2) / ixx
+            qd4 = (jy * p4 * r4 + u3) / iyy
+            rd4 = (jz * p4 * q4 + u4) / izz
         except (ValueError, OverflowError) as exc:
             # math.sin/cos raise on inf/nan rather than propagating it
             raise NonFiniteState(

@@ -100,6 +100,11 @@ class CascadeConfig:
         decimation = self.outer_decimation
         if isinstance(decimation, bool) or not isinstance(decimation, int) or decimation < 1:
             raise ValueError(f"outer_decimation must be an integer >= 1, got {decimation!r}")
+        try:
+            float(decimation)    # cascade_step's outer sample time is dt * decimation
+        except OverflowError:
+            raise ValueError("outer_decimation must convert to a float, got a "
+                             f"{decimation.bit_length()}-bit integer") from None
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ u as 4 floats, stored with t and x as one row of the run's table.
 from __future__ import annotations
 
 import math
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -291,7 +292,9 @@ def run_closed_loop(scenario: Scenario, controller, params: QuadrotorParams) -> 
     n_steps = scenario.sample_count - 1
     table = np.empty((scenario.sample_count, 1 + model.STATE_DIM + model.INPUT_DIM))
     table[:, 0] = np.arange(scenario.sample_count) * scenario.dt
-    rows = table[:, 1:]
+    # each sample's x and u are packed into its row in place, after t
+    store = struct.Struct(f"{model.STATE_DIM + model.INPUT_DIM}d").pack_into
+    row_bytes, theta = table.strides[0], model.THETA
 
     state = scenario.initial_state.tolist()
     if scenario.plant_mode == "nonlinear":
@@ -302,17 +305,17 @@ def run_closed_loop(scenario: Scenario, controller, params: QuadrotorParams) -> 
         step, theta_limit = _zoh_stepper(params, scenario.dt), math.inf
     controller.reset(scenario.references, scenario.dt)
     control = controller.control
-    for i in range(n_steps):
+    for offset in range(table.itemsize, n_steps * row_bytes, row_bytes):
         u = control(state)
-        rows[i] = [*state, *u]
+        store(table, offset, *state, *u)
         state = step(state, u)
-        if abs(state[model.THETA]) >= theta_limit:
+        if abs(state[theta]) >= theta_limit:
             raise ThetaOutOfRange(
-                f"|theta| reached {abs(state[model.THETA]):.4f} rad "
-                f"at t={table[i + 1, 0]:.4f} s"
+                f"|theta| reached {abs(state[theta]):.4f} rad "
+                f"at t={table[offset // row_bytes + 1, 0]:.4f} s"
             )
     # control at the final sample, so every row carries its input
-    rows[n_steps] = [*state, *control(state)]
+    store(table, n_steps * row_bytes + table.itemsize, *state, *control(state))
     return Trajectory(table)
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_continuous_are
 
@@ -140,6 +140,8 @@ class TestParseConfig:
          "pid: outer_decimation must be an integer >= 1, got 0"),
         ('{"pid": {"outer_decimation": 2.0}}',
          "pid.outer_decimation: expected an integer, got 2.0"),
+        ('{"pid": {"outer_decimation": 1%s}}' % ("0" * 400),
+         "pid: outer_decimation must convert to a float, got a 1329-bit integer"),
         ('{"pid": {"gravity_feedforward": 1}}',
          "pid.gravity_feedforward: expected true/false, got 1"),
         ('{"sim": {"plant": "x"}}',
@@ -150,7 +152,8 @@ class TestParseConfig:
          "lqr: R must be positive definite"),
     ], ids=["root-list", "unknown-key", "unknown-gain", "section-list", "loop-int",
             "string-number", "bool-number", "short-vector", "bool-entry", "nan-entry",
-            "case-7", "case-string", "decimation-0", "decimation-float", "flag-int",
+            "case-7", "case-string", "decimation-0", "decimation-float", "decimation-1e400",
+            "flag-int",
             "plant-x", "negative-mass", "singular-r"])
     def test_refusal_messages(self, document, message):
         with pytest.raises(ValueError) as info:
@@ -175,13 +178,22 @@ class TestCmdRun:
         assert set(metrics["z"]) == {"steady_state", "overshoot", "settling_time",
                                      "peak_count", "settled"}
 
-    def test_bad_config_exits_one_without_files(self, tmp_path):
+    def test_bad_config_exits_one_without_files(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "missing.json"),
                      "run", "--controller", "lqr", "--out", str(tmp_path)]) == 1
         bad = tmp_path / "bad.json"
         bad.write_text('{"params": {"m": -1}}')
         assert main(["--config", str(bad), "run", "--controller", "pid",
                      "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
+        # an outer sample time past float range: refused, not a traceback
+        bad.write_text('{"pid": {"outer_decimation": 1%s}, "sim": {"t_final": 0.5}}'
+                       % ("0" * 400))
+        capsys.readouterr()
+        for command in (["run", "--controller", "pid"], ["compare"]):
+            assert main(["--config", str(bad), *command,
+                         "--out", str(tmp_path / "out")]) == 1
+            assert capsys.readouterr().err.startswith("config error: pid: outer_decimation ")
         assert not (tmp_path / "out").exists()
 
     def test_unstable_gains_exit_two(self, tmp_path, capsys):
@@ -603,6 +615,17 @@ class TestTrajectoryCsvBlocks:
         controls = -np.abs(rng.normal(size=(rows, 4)))
         states[0, :4] = [-0.0, 5e-324, 1e308, -1e308]
         controls[-1, :3] = [-0.0, -5e-324, 1e308]
+        # constant in the first block only; constant from mid-block 0 to
+        # mid-block 2, so whole in block 1; all -0.0; 0.0 and -0.0 mixed,
+        # equal values with different bits; a change in each full block's
+        # last row only
+        states[:CSV_BLOCK, 4] = 0.25
+        states[CSV_BLOCK // 2:5 * CSV_BLOCK // 2, 5] = -3.5
+        states[:, 6] = -0.0
+        states[:, 7] = 0.0
+        states[1::2, 7] = -0.0
+        states[:, 8] = 1.0
+        states[CSV_BLOCK - 1::CSV_BLOCK, 8] = 2.0
         trajectory = Trajectory(np.column_stack([times, states, controls]))
         stream = io.StringIO()
         trajectory_csv(trajectory, stream)
@@ -611,38 +634,65 @@ class TestTrajectoryCsvBlocks:
                                                    for row in table.tolist())]) + "\n"
         assert stream.getvalue() == expected
         assert expected.splitlines()[1].startswith("0,-0,4.9406564584124654e-324,1e+308,")
+        # a float32 table is written as the doubles its values convert to;
+        # its grid is dyadic, since float32 steps of 1e-3 are not uniform
+        with np.errstate(over="ignore"):    # +-1e308 become +-inf
+            single = table.astype(np.float32)
+        single[:, 0] = np.arange(rows) * 0.5
+        stream = io.StringIO()
+        trajectory_csv(Trajectory(single), stream)
+        assert stream.getvalue() == "\n".join(
+            [TRAJECTORY_HEADER, *(",".join("%.17g" % v for v in row)
+                                  for row in single.tolist())]) + "\n"
 
     def test_peak_memory_of_a_stock_length_run(self):
         # 15,001 rows, the stock 15 s at 1 ms, into a stream that keeps
-        # no text: the writer's own peak is a block's, not the table's
+        # no text: the writer's own peak is a block's, not the table's.
+        # Every column varies in the first table; the second is case 1's
+        # shape, where only t, z, zdot and u1 vary.
         class Sink(io.TextIOBase):
             def write(self, text):
                 return len(text)
 
         rows = 15001
         rng = np.random.default_rng(0)
-        trajectory = Trajectory(np.column_stack([np.arange(rows) * 1e-3,
-                                                 rng.normal(size=(rows, 12)),
-                                                 rng.normal(size=(rows, 4))]))
-        tracemalloc.start()
-        try:
-            trajectory_csv(trajectory, Sink())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 500_000
+        varying = np.column_stack([np.arange(rows) * 1e-3, rng.normal(size=(rows, 16))])
+        altitude_only = np.zeros_like(varying)
+        altitude_only[:, [0, 3, 9, 13]] = varying[:, [0, 3, 9, 13]]
+        for table in (varying, altitude_only):
+            tracemalloc.start()
+            try:
+                trajectory_csv(Trajectory(table), Sink())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 500_000
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(rows=st.integers(1, 600), dt=st.floats(1e-6, 1.0), seed=st.integers(0, 2**32 - 1),
            placed=st.lists(st.tuples(
                st.integers(0, 600 * 16 - 1),
                st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308])
-               | st.floats(allow_nan=False, allow_infinity=False)), max_size=40))
-    def test_text_reads_back_bit_for_bit(self, rows, dt, seed, placed):
+               | st.floats(allow_nan=False, allow_infinity=False)), max_size=40),
+           runs=st.lists(st.tuples(
+               st.integers(0, 15), st.integers(0, 599), st.integers(1, 600),
+               st.sampled_from([0.0, -0.0, 5e-324, 1e308])
+               | st.floats(allow_nan=False, allow_infinity=False)), max_size=6))
+    # 600 rows are blocks of 256, 256 and 88: a column constant in block 0
+    # only, a run over the whole of block 1, an all -0.0 column, and
+    # block 1 mixing 0.0 with -0.0; then a final block of one row
+    @example(rows=600, dt=1e-3, seed=0, placed=[],
+             runs=[(0, 0, 256, 1.5), (1, 128, 512, -2.0), (2, 0, 600, -0.0),
+                   (3, 0, 600, 0.0), (3, 300, 1, -0.0)])
+    @example(rows=513, dt=1e-3, seed=1, placed=[], runs=[(4, 0, 513, 0.0)])
+    def test_text_reads_back_bit_for_bit(self, rows, dt, seed, placed, runs):
         # every finite double is equally likely by its bits: all exponents,
-        # subnormals and both zeros, then the placed values on top
+        # subnormals and both zeros, then runs of one value down a column,
+        # then the placed values on top
         values = np.frombuffer(np.random.default_rng(seed).bytes(rows * 16 * 8))
         values = np.where(np.isfinite(values), values, -0.0)
+        for column, start, length, value in runs:
+            values.reshape(rows, 16)[start:start + length, column] = value
         for index, value in placed:
             values[index % values.size] = value
         table = np.column_stack([np.arange(rows) * dt, values.reshape(rows, 16)])

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadctrl import (
@@ -141,9 +141,17 @@ class TestStepKernel:
                             inertia_yy=st.floats(1e-4, 1.0),
                             inertia_zz=st.floats(1e-4, 1.0),
                             gravity=st.floats(0.1, 30.0)))
+    # exactly level flight, as case 1 flies it: the unexcited channels
+    # must keep the generic step's signed zeros
+    @example(state=[0.0, 0.0, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0],
+             theta=0.0, u=[10.5, 0.0, 0.0, 0.0], dt=1e-3, params=QuadrotorParams())
+    @example(state=[0.0, 0.0, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0],
+             theta=0.0, u=[10.5, -0.0, -0.0, -0.0], dt=1e-3, params=QuadrotorParams())
     def test_matches_generic_rk4_step(self, state, theta, u, dt, params):
         state[THETA] = theta
-        assert stepper(params, dt)(state, u) == generic_step(state, u, dt, params)
+        # compared by bits, since 0.0 == -0.0
+        assert ([*map(float.hex, stepper(params, dt)(state, u))]
+                == [*map(float.hex, generic_step(state, u, dt, params))])
 
     def test_divergence_messages_match_generic_step(self, params):
         # sin of inf in the second stage, then a velocity sum past the

@@ -16,10 +16,13 @@ the linear plant's is x+ = Phi x + Gamma (u - u_eq), with (Phi, Gamma)
 kept as the reference both plants are tested against.  On the
 nonlinear plant phi and psi of the initial state are wrapped into
 [-pi, pi) before the first step, and after every step.  The scalar
-code evaluates in the same order as array arithmetic and the LQR keeps
-its BLAS matvec, so the bits match an ndarray run.  A controller is any
-object with ``reset(references, dt)`` and ``control(state)`` returning
-u as 4 floats, stored with t and x as one row of the run's table.
+plant and PID code evaluate in the same order as array arithmetic, so
+their bits match an ndarray run.  The LQR law sums each row of K over
+its non-zeros in column order (:class:`LqrController`), so the
+nonlinear loop makes no BLAS call and its bits do not depend on the
+BLAS kernel.  A controller is any object with ``reset(references,
+dt)`` and ``control(state)`` returning u as 4 floats, stored with t
+and x as one row of the run's table.
 """
 
 from __future__ import annotations
@@ -222,23 +225,45 @@ def scenario_case(case_id: int, **overrides) -> Scenario:
 class LqrController:
     """Full-state feedback u = u_eq - K (x - x_ref), memoryless.
 
-    ``reset`` binds x_ref and psi_ref (a float) once per run; ``control``
-    wraps the heading error with :func:`model.wrap_angle` and keeps
-    ``np.dot(K, ...)`` a BLAS matvec, whose summation order fixes the bits.
+    The law is float code over the non-zeros of K, with no numpy call
+    per step: u_i = u_eq,i - s_i, where s_i sums K[i, j] * d_j from 0.0
+    left to right over the columns j with K[i, j] != 0, in increasing j.
+    d = x - x_ref, except that the heading error is
+    ``model.wrap_angle(psi - psi_ref)``.  The rows are bound here, once;
+    ``reset`` binds x_ref into their terms once per run.  A K that is
+    not 4 x 12 is refused with ValueError.
     """
 
     def __init__(self, K: np.ndarray, params: QuadrotorParams):
-        self.K = np.asarray(K, dtype=float)
-        _, self.u_equilibrium = model.hover_equilibrium(params)
+        K = np.asarray(K, dtype=float)
+        if K.shape != (model.INPUT_DIM, model.STATE_DIM):
+            raise ValueError(
+                f"K must have shape ({model.INPUT_DIM}, {model.STATE_DIM}), "
+                f"got {K.shape}")
+        _, u_equilibrium = model.hover_equilibrium(params)
+        self._rows = tuple(
+            (u_eq, tuple((k, j) for j, k in enumerate(row) if k != 0.0))
+            for u_eq, row in zip(u_equilibrium.tolist(), K.tolist()))
 
     def reset(self, references: Setpoints, dt: float) -> None:
-        self._x_ref = references.reference_state()
-        self._psi_ref = self._x_ref.item(model.PSI)
+        # each term carries its x_ref,j; the heading's carries 0.0, since
+        # control puts the wrapped heading error in the heading's place
+        x_ref = references.reference_state().tolist()
+        self._psi_ref = x_ref[model.PSI]
+        x_ref[model.PSI] = 0.0
+        self._terms = tuple((u_eq, tuple((k, j, x_ref[j]) for k, j in row))
+                            for u_eq, row in self._rows)
 
     def control(self, state: Sequence[float]) -> list[float]:
-        deviation = np.subtract(state, self._x_ref)
-        deviation[model.PSI] = model.wrap_angle(state[model.PSI] - self._psi_ref)
-        return np.subtract(self.u_equilibrium, np.dot(self.K, deviation)).tolist()
+        x = list(state)
+        x[model.PSI] = model.wrap_angle(state[model.PSI] - self._psi_ref)
+        u = []
+        for u_eq, terms in self._terms:
+            s = 0.0
+            for k, j, x_ref_j in terms:
+                s += k * (x[j] - x_ref_j)
+            u.append(u_eq - s)
+        return u
 
 
 class PidCascadeController:

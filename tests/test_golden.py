@@ -4,8 +4,13 @@ A change that moves any byte of these outputs moves a digest.  Moving
 one is a deliberate act: record the new digest here and state the
 largest deviation and its reason in CHANGES.md.  The digests depend
 on numpy's own LAPACK and BLAS alone, as the package imports nothing
-else; they were recorded with numpy 2.4.6 (its bundled OpenBLAS,
-x86-64), and other releases may round the last bits differently.
+else: on the numpy release, and on the OpenBLAS kernel it runs.  They
+were recorded with numpy 2.4.6 and its bundled OpenBLAS 0.3.31, whose
+DYNAMIC_ARCH build picked the SkylakeX kernel on an AVX-512 x86-64
+host.  Other releases may round the last bits differently, and so do
+other kernels of the same build: OPENBLAS_CORETYPE=Haswell, Sandybridge
+or Prescott each moves the ``gain`` digest, and with it every digest
+downstream of K.  The simulation loop itself makes no BLAS call.
 """
 
 import hashlib

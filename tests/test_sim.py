@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -277,8 +278,9 @@ def ndarray_run(scenario, controller, params):
     return states, controls
 
 
-# The ndarray cascade step and LQR law that the controllers ran before
-# they took and returned lists: the reference controllers of the oracle.
+# The ndarray cascade step that the PID ran before it took and returned
+# lists, and the LQR law on an ndarray deviation: the reference
+# controllers of the oracle.
 def ndarray_cascade_step(config, state, references, memory, dt, params):
     s = np.asarray(state, dtype=float)
     if memory.step_count % config.outer_decimation == 0:
@@ -317,11 +319,24 @@ class NdarrayPid:
         return u
 
 
+def column_order_law(K, u_eq, deviation):
+    """u_i = u_eq,i - s_i, s_i the sum from 0.0, left to right, of
+    K[i, j] * d_j over the columns j where K[i, j] != 0."""
+    u = []
+    for i in range(len(K)):
+        s = 0.0
+        for j in range(len(deviation)):
+            if K[i][j] != 0.0:
+                s += K[i][j] * deviation[j]
+        u.append(u_eq[i] - s)
+    return u
+
+
 class NdarrayLqr:
-    """The ndarray LQR law, x_ref rebuilt every step."""
+    """The LQR law on an ndarray deviation, x_ref rebuilt every step."""
 
     def __init__(self, K, params):
-        self.K = K
+        self.K = K.tolist()
         _, self.u_equilibrium = hover_equilibrium(params)
 
     def reset(self):
@@ -330,7 +345,8 @@ class NdarrayLqr:
     def control(self, state, references, dt):
         deviation = (np.asarray(state, dtype=float)
                      - np.asarray(references.reference_state(), dtype=float))
-        return np.asarray(self.u_equilibrium, dtype=float) - self.K @ deviation
+        return np.array(column_order_law(self.K, self.u_equilibrium.tolist(),
+                                          deviation.tolist()))
 
 
 class TestFloatPathOracle:
@@ -373,6 +389,13 @@ class TestControllerOutput:
         assert type(u) is list
         assert [type(v) for v in u] == [float] * 4
 
+    def test_lqr_refuses_a_gain_of_the_wrong_shape(self, params, default_gain):
+        # a law looped over rows would zip a short K and run on silently
+        for K in (default_gain[:, :11], default_gain[:3]):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"K must have shape (4, 12), got {K.shape}")):
+                LqrController(K, params)
+
     def test_lqr_follows_a_change_of_setpoints(self, params, default_gain):
         state = [0.0] * 12
         first, second = Setpoints(z_ref=1.0), Setpoints(z_ref=1.0, x_ref=0.5)
@@ -411,6 +434,9 @@ decades = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
     st.floats(-10.0, 10.0),
     st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0), st.integers(-320, 290)))
+# Gain entries: exact zeros, which the law skips, and magnitudes from
+# subnormal up to a stock gain's.
+gain_entries = st.one_of(st.just(0.0), st.floats(-200.0, 200.0), st.floats(-1e-3, 1e-3))
 # Headings on both sides of +-pi, the points where the wrap acts.
 headings = st.one_of(
     st.floats(-4.0, 4.0),
@@ -421,21 +447,38 @@ headings = st.one_of(
 class TestLqrLaw:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(state=st.lists(decades, min_size=12, max_size=12), psi=headings,
-           psi_ref=headings, refs=st.lists(decades, min_size=3, max_size=3))
+           psi_ref=headings, refs=st.lists(decades, min_size=3, max_size=3),
+           gain=st.none() | st.lists(gain_entries, min_size=48, max_size=48))
     def test_control_is_the_array_law_bit_for_bit(self, params, default_gain, state,
-                                                  psi, psi_ref, refs):
-        # the ndarray formula: deviation as an array, its psi entry wrapped
-        # there, then u_eq - K @ deviation
+                                                  psi, psi_ref, refs, gain):
+        # deviation as an array, its psi entry wrapped there; then the
+        # column-order law on the stock gain or a drawn one
+        K = default_gain if gain is None else np.reshape(gain, (4, 12))
         state[PSI] = psi
         references = Setpoints(z_ref=refs[0], x_ref=refs[1], y_ref=refs[2],
                                psi_ref=psi_ref)
         deviation = np.asarray(state, dtype=float) - references.reference_state()
         deviation[PSI] = wrap_angle(deviation[PSI])
         _, u_eq = hover_equilibrium(params)
-        expected = u_eq - default_gain @ deviation
-        controller = LqrController(default_gain, params)
+        expected = column_order_law(K.tolist(), u_eq.tolist(), deviation.tolist())
+        controller = LqrController(K, params)
         controller.reset(references, 0.001)
-        assert np.array(controller.control(state)).tobytes() == expected.tobytes()
+        u = controller.control(state)
+        assert np.array(u).tobytes() == np.array(expected).tobytes()
+        # u_eq - K @ d, in the BLAS kernel's order, is the same law up to
+        # each sum's rounding: gamma_n * sum_j |K_ij d_j| for a row of n
+        # non-zeros (Higham 2002, section 3.1), half an ulp for the final
+        # subtraction, and half the least subnormal per product; a bound
+        # for each of the two laws
+        matvec = (u_eq - K @ deviation).tolist()
+        unit = 2.0 ** -53
+        for row, law, blas in zip(K.tolist(), u, matvec):
+            products = [k * d for k, d in zip(row, deviation.tolist()) if k != 0.0]
+            n = len(products)
+            gamma = n * unit / (1.0 - n * unit)
+            tolerance = (2.0 * (gamma * math.fsum(map(abs, products)) + n * 2.0 ** -1075)
+                         + 0.5 * (math.ulp(law) + math.ulp(blas)))
+            assert abs(law - blas) <= tolerance
 
 
 class TestScenarioCase:
